@@ -24,7 +24,7 @@ namespace {
 using namespace graybox;
 using namespace graybox::core;
 
-HarnessConfig base_config(Algorithm algo, std::uint64_t seed) {
+HarnessConfig base_config(const std::string& algo, std::uint64_t seed) {
   HarnessConfig config;
   config.n = 4;
   config.algorithm = algo;
@@ -62,14 +62,14 @@ int main(int argc, char** argv) {
 
   SpecGrid grid;
   for (const bool monotone : {false, true}) {
-    HarnessConfig config = base_config(Algorithm::kRicartAgrawala, 3000);
-    config.ra_options.monotone_views = monotone;
+    HarnessConfig config = base_config("ricart-agrawala", 3000);
+    if (monotone) config.algorithm_options = {"monotone_views=1"};
     grid.add(monotone ? "a1/monotone" : "a1/direct", config,
              corruption_scenario(), trials);
   }
   for (const bool head_only : {false, true}) {
-    HarnessConfig config = base_config(Algorithm::kLamport, 4000);
-    config.lamport_options.head_only_release = head_only;
+    HarnessConfig config = base_config("lamport", 4000);
+    if (head_only) config.algorithm_options = {"head_only_release=1"};
     config.client.wants_cs = false;  // scripted request only
 
     FaultScenario scenario;
@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
     grid.add(head_only ? "a2/head_only" : "a2/default", config, scenario, 1);
   }
   for (const bool unrefined : {false, true}) {
-    HarnessConfig config = base_config(Algorithm::kRicartAgrawala, 5000);
+    HarnessConfig config = base_config("ricart-agrawala", 5000);
     config.wrapper.unrefined_send_all = unrefined;
     FaultScenario scenario;
     scenario.warmup = 500;
@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
              trials);
   }
   for (const SimTime poll : polls) {
-    HarnessConfig config = base_config(Algorithm::kRicartAgrawala, 6000);
+    HarnessConfig config = base_config("ricart-agrawala", 6000);
     config.client.poll_interval = poll;
     grid.add("a4/poll=" + std::to_string(poll), config, corruption_scenario(),
              trials);

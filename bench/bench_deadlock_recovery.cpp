@@ -37,7 +37,8 @@ FaultScenario deadlock_scenario() {
   return scenario;
 }
 
-HarnessConfig config_for(Algorithm algo, bool wrapped, SimTime period) {
+HarnessConfig config_for(const std::string& algo, bool wrapped,
+                         SimTime period) {
   HarnessConfig config;
   config.n = 3;
   config.algorithm = algo;
@@ -82,12 +83,12 @@ int main(int argc, char** argv) {
   const ExperimentEngine engine(engine_options_from_flags(flags));
 
   const SimTime deltas[] = {0, 5, 10, 25, 50, 100, 200, 400};
-  const Algorithm algos[] = {Algorithm::kRicartAgrawala, Algorithm::kLamport};
+  const std::string algos[] = {"ricart-agrawala", "lamport"};
 
   SpecGrid grid;
-  for (const Algorithm algo : algos) {
+  for (const std::string& algo : algos) {
     const std::string stem =
-        algo == Algorithm::kRicartAgrawala ? "ra" : "lamport";
+        algo == "ricart-agrawala" ? "ra" : "lamport";
     for (const bool wrapped : {false, true}) {
       // The scenario is fully scripted, so one trial is the experiment.
       grid.add("verdict/" + stem + (wrapped ? "/wrapped" : "/bare"),
@@ -110,14 +111,14 @@ int main(int argc, char** argv) {
 
   Table verdicts({"algorithm", "wrapper", "outcome", "starvation at end",
                   "CS entries"});
-  for (const Algorithm algo : algos) {
+  for (const std::string& algo : algos) {
     const std::string stem =
-        algo == Algorithm::kRicartAgrawala ? "ra" : "lamport";
+        algo == "ricart-agrawala" ? "ra" : "lamport";
     for (const bool wrapped : {false, true}) {
       const RepeatedResult& r =
           result.cell("verdict/" + stem + (wrapped ? "/wrapped" : "/bare"))
               .result;
-      verdicts.row(to_string(algo), wrapped ? "W' (delta=20)" : "none",
+      verdicts.row(algo, wrapped ? "W' (delta=20)" : "none",
                    r.all_stabilized() ? "recovered" : "DEADLOCKED forever",
                    r.starved > 0,
                    static_cast<std::uint64_t>(r.cs_entries.sum()));

@@ -64,7 +64,7 @@ net::FaultProcessConfig load_for(double scale) {
   return fp;
 }
 
-HarnessConfig config_for(Algorithm algo, SimTime delta, double scale) {
+HarnessConfig config_for(const std::string& algo, SimTime delta, double scale) {
   HarnessConfig config;
   config.n = 5;
   config.algorithm = algo;
@@ -85,11 +85,12 @@ FaultScenario scenario_sustained() {
   return scenario;
 }
 
-const char* short_name(Algorithm algo) {
-  return algo == Algorithm::kRicartAgrawala ? "ra" : "lamport";
+const char* short_name(const std::string& algo) {
+  return algo == "ricart-agrawala" ? "ra" : "lamport";
 }
 
-std::string cell_name(Algorithm algo, const RateLevel& rate, SimTime delta) {
+std::string cell_name(const std::string& algo, const RateLevel& rate,
+                      SimTime delta) {
   return std::string(short_name(algo)) + "/rate=" + rate.name +
          "/delta=" + std::to_string(delta);
 }
@@ -108,10 +109,10 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(flags.get_int("trials", 12));
   const ExperimentEngine engine(engine_options_from_flags(flags));
 
-  const Algorithm algos[] = {Algorithm::kRicartAgrawala, Algorithm::kLamport};
+  const std::string algos[] = {"ricart-agrawala", "lamport"};
 
   SpecGrid grid;
-  for (const Algorithm algo : algos)
+  for (const std::string& algo : algos)
     for (const RateLevel& rate : kRates)
       for (const SimTime delta : kDeltas)
         grid.add(cell_name(algo, rate, delta),
@@ -127,8 +128,8 @@ int main(int argc, char** argv) {
                "requests,\nreconverge = mean ticks from a fault arrival to "
                "the last safety violation it caused.\n";
 
-  for (const Algorithm algo : algos) {
-    std::cout << "\n" << to_string(algo) << ":\n\n";
+  for (const std::string& algo : algos) {
+    std::cout << "\n" << algo << ":\n\n";
     Table table({"rate", "delta", "stabilized", "availability mean±sd",
                  "faults/trial", "violations/trial", "reconverge mean"});
     for (const RateLevel& rate : kRates) {

@@ -25,7 +25,8 @@ namespace {
 using namespace graybox;
 using namespace graybox::core;
 
-HarnessConfig config_for(Algorithm algo, SimTime delta, std::uint64_t seed) {
+HarnessConfig config_for(const std::string& algo, SimTime delta,
+                         std::uint64_t seed) {
   HarnessConfig config;
   config.n = 5;
   config.algorithm = algo;
@@ -37,8 +38,8 @@ HarnessConfig config_for(Algorithm algo, SimTime delta, std::uint64_t seed) {
   return config;
 }
 
-const char* short_name(Algorithm algo) {
-  return algo == Algorithm::kRicartAgrawala ? "ra" : "lamport";
+const char* short_name(const std::string& algo) {
+  return algo == "ricart-agrawala" ? "ra" : "lamport";
 }
 
 }  // namespace
@@ -60,10 +61,10 @@ int main(int argc, char** argv) {
   clean.burst = 0;
 
   const SimTime deltas[] = {0, 2, 5, 10, 25, 50, 100, 200, 400};
-  const Algorithm algos[] = {Algorithm::kRicartAgrawala, Algorithm::kLamport};
+  const std::string algos[] = {"ricart-agrawala", "lamport"};
 
   SpecGrid grid;
-  for (const Algorithm algo : algos) {
+  for (const std::string& algo : algos) {
     for (const SimTime delta : deltas) {
       const std::string stem =
           std::string(short_name(algo)) + "/delta=" + std::to_string(delta);
@@ -78,7 +79,7 @@ int main(int argc, char** argv) {
             << " trials per cell, burst of " << scenario.burst
             << " mixed faults (" << result.jobs << " jobs)\n\n";
 
-  for (const Algorithm algo : algos) {
+  for (const std::string& algo : algos) {
     Table table({"delta", "stabilized", "latency mean±sd", "latency p95",
                  "wrapper msgs (faulty)", "wrapper msgs (fault-free)"});
     for (const SimTime delta : deltas) {
@@ -97,7 +98,7 @@ int main(int argc, char** argv) {
                 mean_pm_stddev(faulty.wrapper_messages, 0),
                 mean_pm_stddev(quiet.wrapper_messages, 0));
     }
-    std::cout << to_string(algo) << ":\n";
+    std::cout << algo << ":\n";
     table.print(std::cout);
     std::cout << "\n";
   }

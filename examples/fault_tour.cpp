@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
   for (const auto kind : kinds) {
     HarnessConfig config;
     config.n = 4;
-    config.algorithm = Algorithm::kRicartAgrawala;
+    config.algorithm = "ricart-agrawala";
     config.wrapped = true;
     config.wrapper.resend_period = 15;
     config.client.think_mean = 30;
@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
     if (config.trace_capacity > 0) {
       std::cout << "trace tail around the " << net::to_string(kind)
                 << " burst:\n";
-      h.trace().dump(std::cout, 8);
+      h.events().dump(std::cout, 8);
       std::cout << "\n";
     }
   }

@@ -20,7 +20,7 @@ int main() {
 
   HarnessConfig config;
   config.n = 3;
-  config.algorithm = Algorithm::kRicartAgrawala;
+  config.algorithm = "ricart-agrawala";
   config.wrapped = true;
   config.wrapper.resend_period = 15;
   config.client.think_mean = 25;

@@ -1,5 +1,6 @@
 #include "common/flags.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 
@@ -15,7 +16,8 @@ Flags::Flags(int argc, const char* const* argv,
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (is_benchmark_flag(arg)) continue;
-    if (arg.rfind("--", 0) != 0) usage_and_exit(arg);
+    if (arg.rfind("--", 0) != 0)
+      usage_and_exit("unknown argument '" + arg + "'");
     arg = arg.substr(2);
     std::string name = arg;
     std::string value;
@@ -28,7 +30,8 @@ Flags::Flags(int argc, const char* const* argv,
     } else {
       value = "true";
     }
-    if (!spec_.count(name)) usage_and_exit("--" + name);
+    if (!spec_.count(name))
+      usage_and_exit("unknown argument '--" + name + "'");
     values_[name] = value;
   }
 }
@@ -41,15 +44,25 @@ std::string Flags::get(const std::string& name,
   return it == values_.end() ? fallback : it->second;
 }
 
+template <typename T>
+T Flags::get_number(const std::string& name, T fallback) const {
+  const auto it = values_.find(name);
+  if (it == values_.end()) return fallback;
+  const std::string& s = it->second;
+  T value{};
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
+  if (s.empty() || ec != std::errc() || end != s.data() + s.size())
+    usage_and_exit("invalid value '" + s + "' for --" + name);
+  return value;
+}
+
 std::int64_t Flags::get_int(const std::string& name,
                             std::int64_t fallback) const {
-  const auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::strtoll(it->second.c_str(), nullptr, 10);
+  return get_number(name, fallback);
 }
 
 double Flags::get_double(const std::string& name, double fallback) const {
-  const auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
+  return get_number(name, fallback);
 }
 
 bool Flags::get_bool(const std::string& name, bool fallback) const {
@@ -67,9 +80,9 @@ std::map<std::string, std::string> with_engine_flags(
   return spec;
 }
 
-void Flags::usage_and_exit(const std::string& bad) const {
-  std::fprintf(stderr, "%s: unknown argument '%s'\nknown flags:\n",
-               program_.c_str(), bad.c_str());
+void Flags::usage_and_exit(const std::string& problem) const {
+  std::fprintf(stderr, "%s: %s\nknown flags:\n", program_.c_str(),
+               problem.c_str());
   for (const auto& [name, help] : spec_)
     std::fprintf(stderr, "  --%-24s %s\n", name.c_str(), help.c_str());
   std::exit(2);

@@ -1,7 +1,8 @@
 // Minimal command-line flag parsing for the bench and example binaries.
 // Supports "--name=value", "--name value", and bare "--name" booleans; any
-// unrecognized argument aborts with a usage message so experiment scripts
-// fail fast on typos.
+// unrecognized argument, and any numeric value that does not parse in full
+// and in range, exits 2 with a usage message so experiment scripts fail
+// fast on typos.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +21,8 @@ class Flags {
 
   bool has(const std::string& name) const;
   std::string get(const std::string& name, const std::string& fallback) const;
+  /// Numeric values must parse in full and in range ("12x", "", int64
+  /// overflow are usage errors: exit 2).
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   double get_double(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback) const;
@@ -27,7 +30,9 @@ class Flags {
   const std::string& program() const { return program_; }
 
  private:
-  [[noreturn]] void usage_and_exit(const std::string& bad) const;
+  template <typename T>
+  T get_number(const std::string& name, T fallback) const;
+  [[noreturn]] void usage_and_exit(const std::string& problem) const;
 
   std::string program_;
   std::map<std::string, std::string> spec_;

@@ -53,10 +53,10 @@ std::string config_digest(const HarnessConfig& config) {
   h.mix(std::uint64_t{config.n});
   // The algorithm choice is hashed through the registry's canonical
   // serialization (per-process "name[key=value,...]" with options fully
-  // resolved), NOT through enum values or struct-field order: two configs
-  // that construct identical processes digest identically regardless of
-  // spelling (alias, legacy struct, generic option), and externally
-  // registered algorithms digest without touching this function.
+  // resolved): two configs that construct identical processes digest
+  // identically regardless of spelling (alias, explicit default option),
+  // and externally registered algorithms digest without touching this
+  // function.
   h.mix(std::string_view{algorithm_spec(config)});
   h.mix(config.wrapped);
   h.mix(std::uint64_t{config.wrapper.resend_period});
@@ -72,8 +72,6 @@ std::string config_digest(const HarnessConfig& config) {
   h.mix(config.client.eat_mean);
   h.mix(std::uint64_t{config.client.poll_interval});
   h.mix(config.client.wants_cs);
-  // ra_options/lamport_options are not mixed directly: algorithm_spec
-  // already folds the deprecated structs into the resolved option list.
   h.mix(config.install_monitors);
   h.mix(config.install_lspec_monitors);
   h.mix(config.fault_process.drop_mean);

@@ -8,21 +8,6 @@
 
 namespace graybox::core {
 
-const char* to_string(Algorithm a) {
-  // The enum-era names are exactly the registry names (the registry is the
-  // single source of algorithm names; this map only serves the deprecated
-  // enum shim).
-  switch (a) {
-    case Algorithm::kRicartAgrawala:
-      return "ricart-agrawala";
-    case Algorithm::kLamport:
-      return "lamport";
-    case Algorithm::kFragile:
-      return "fragile-ra";
-  }
-  return "unknown";
-}
-
 namespace {
 
 const me::ProcessFactory& factory_for(const HarnessConfig& config,
@@ -34,17 +19,10 @@ const me::ProcessFactory& factory_for(const HarnessConfig& config,
 }
 
 /// The layered option list for one process, lowest precedence first:
-/// deprecated structs, uniform algorithm_options, per-process options.
+/// uniform algorithm_options, then per-process options.
 std::vector<std::string> options_for(const HarnessConfig& config,
-                                     ProcessId pid,
-                                     const me::ProcessFactory& factory) {
-  std::vector<std::string> opts;
-  if (factory.name() == "ricart-agrawala" && config.ra_options.monotone_views)
-    opts.push_back("monotone_views=1");
-  if (factory.name() == "lamport" && config.lamport_options.head_only_release)
-    opts.push_back("head_only_release=1");
-  opts.insert(opts.end(), config.algorithm_options.begin(),
-              config.algorithm_options.end());
+                                     ProcessId pid) {
+  std::vector<std::string> opts = config.algorithm_options;
   if (!config.per_process_options.empty()) {
     opts.insert(opts.end(), config.per_process_options[pid].begin(),
                 config.per_process_options[pid].end());
@@ -59,7 +37,7 @@ std::string algorithm_spec(const HarnessConfig& config) {
   specs.reserve(config.n);
   for (ProcessId pid = 0; pid < config.n; ++pid) {
     const me::ProcessFactory& f = factory_for(config, pid);
-    specs.push_back(f.canonical_spec(f.resolve(options_for(config, pid, f))));
+    specs.push_back(f.canonical_spec(f.resolve(options_for(config, pid))));
   }
   // A heterogeneous vector whose entries all resolve identically constructs
   // the same system as the uniform spelling — serialize them the same.
@@ -87,9 +65,9 @@ SystemHarness::SystemHarness(HarnessConfig config)
   GBX_EXPECTS(config_.per_process_tiers.empty() ||
               config_.per_process_tiers.size() == config_.n);
 
-  // The typed event bus exists unconditionally (capacity 0 = disabled) and
-  // every producer stays attached, so toggling trace_capacity changes only
-  // how much is retained, never the wiring.
+  // The typed event bus exists unconditionally and every producer stays
+  // attached: its aggregates hold the run's fault and violation facts, and
+  // trace_capacity only sizes the retained ring.
   bus_ = std::make_unique<obs::EventBus>(sched_, config_.trace_capacity);
   bus_->set_fault_kind_names(net::fault_kind_names());
 
@@ -245,31 +223,18 @@ SystemHarness::SystemHarness(HarnessConfig config)
 
   // Monitor violations feed the bus out-of-band (the monitors themselves
   // stay obs-free: the hook is a type-erased callback in the spec layer).
+  // Violations are rare, so the hook is off the hot path.
   bus_->set_monitor_names(monitor_set_.monitor_names());
-  // Installed unconditionally: the reconvergence tracker needs the last
-  // violation time even with the bus disabled (violations are rare, the
-  // hook is off the hot path).
   monitor_set_.set_violation_hook([this](SimTime t, std::size_t index) {
     last_violation_time_ = t;
     // Attribute the violation to its root-cause fault(s) before recording,
-    // so the bus event carries the attribution (unconditionally: the
-    // blast-radius aggregates must not depend on the bus being enabled).
-    obs::TaintSet attributed;
-    if (provenance_ != nullptr) {
-      attributed = provenance_->attribute_violation(t);
-    }
-    if (bus_->enabled()) {
-      obs::Event e;
-      e.kind = obs::EventKind::kMonitorViolation;
-      e.monitor = static_cast<std::uint16_t>(index);
-      e.taint = attributed;
-      bus_->record(e);
-    }
+    // so the bus event carries the attribution.
+    obs::Event e;
+    e.kind = obs::EventKind::kMonitorViolation;
+    e.monitor = static_cast<std::uint16_t>(index);
+    if (provenance_ != nullptr) e.taint = provenance_->attribute_violation(t);
+    bus_->record(e);
   });
-
-  // The human-readable trace is a lazy view over the bus ring (see
-  // trace()); it only needs matching retention.
-  trace_ = sim::Trace(config_.trace_capacity);
 
   // Metrics instrumentation: push histograms fed by passive observers, and
   // pull counters registered up front (fixed order) but refreshed from the
@@ -334,7 +299,7 @@ SystemHarness::~SystemHarness() = default;
 std::unique_ptr<me::TmeProcess> SystemHarness::make_process(ProcessId pid) {
   const me::ProcessFactory& factory = factory_for(config_, pid);
   const me::ResolvedOptions options =
-      factory.resolve(options_for(config_, pid, factory));
+      factory.resolve(options_for(config_, pid));
   auto process = factory.make(pid, config_.n, *net_, factory_rng_, options);
   GBX_ASSERT(process != nullptr);
   return process;
@@ -358,18 +323,6 @@ wrapper::GrayboxWrapper* SystemHarness::wrapper(ProcessId pid) {
 wrapper::LocalWrapper* SystemHarness::local_wrapper(ProcessId pid) {
   GBX_EXPECTS(pid < local_wrappers_.size());
   return local_wrappers_[pid].get();
-}
-
-const sim::Trace& SystemHarness::trace() const {
-  if (bus_->enabled() && bus_->total_recorded() != trace_rendered_total_) {
-    trace_.clear();
-    for (std::size_t i = 0; i < bus_->size(); ++i) {
-      const obs::Event& e = bus_->event(i);
-      trace_.record(e.time, bus_->render(e));
-    }
-    trace_rendered_total_ = bus_->total_recorded();
-  }
-  return trace_;
 }
 
 void SystemHarness::start() {
@@ -432,22 +385,18 @@ bool SystemHarness::heal_partition() {
 }
 
 void SystemHarness::note_lifecycle(std::uint8_t code, ProcessId pid) {
-  lifecycle_stats_[code - net::kFaultKindCount].note(sched_.now());
-  obs::ProvenanceId id = obs::kNoProvenance;
+  obs::Event e;
+  e.kind = obs::EventKind::kFaultInjected;
+  e.a = code;
+  e.pid = pid;
   if (provenance_ != nullptr) {
-    id = provenance_->mint(code, pid, sched_.now());
+    const obs::ProvenanceId id = provenance_->mint(code, pid, sched_.now());
     // Crash and recovery corrupt the named process (recovery re-enters an
     // improperly initialized state); partitions have no single target.
     if (pid != kNoProcess) provenance_->taint_process(pid, id);
-  }
-  if (bus_->enabled()) {
-    obs::Event e;
-    e.kind = obs::EventKind::kFaultInjected;
-    e.a = code;
-    e.pid = pid;
     e.taint.add(id);
-    bus_->record(e);
   }
+  bus_->record(e);
   on_fault_arrival();
 }
 
@@ -485,14 +434,9 @@ bool SystemHarness::quiescent() const {
 StabilizationReport SystemHarness::stabilization_report() const {
   GBX_EXPECTS(config_.install_monitors);
   StabilizationReport report;
-  report.last_fault = faults_->last_fault_time();
-  // Lifecycle faults (crash/recovery, partition/heal) count: latency is
-  // measured from the last perturbation of any kind.
-  for (const obs::KindStats& s : lifecycle_stats_) {
-    if (s.count == 0) continue;
-    if (report.last_fault == kNever || s.last > report.last_fault)
-      report.last_fault = s.last;
-  }
+  // Injector and lifecycle faults alike: latency is measured from the last
+  // perturbation of any kind.
+  report.last_fault = bus_->kind_stats(obs::EventKind::kFaultInjected).last;
   report.faults_injected = report.last_fault != kNever;
 
   // Safety monitors: ME1, ME3, Invariant I. (ME2's records are liveness
@@ -526,60 +470,7 @@ StabilizationReport SystemHarness::stabilization_report() const {
 
 obs::StabilizationTimeline SystemHarness::timeline() const {
   GBX_EXPECTS(config_.install_monitors);
-  obs::StabilizationTimeline tl;
-  tl.run_end = sched_.now();
-
-  tl.faults_injected = faults_->total_injected();
-  tl.first_fault = faults_->first_fault_time();
-  tl.last_fault = faults_->last_fault_time();
-  // Lifecycle faults share the bus's fault-code space (codes after the
-  // injector's kinds), so fold them in the same order timeline_from_bus
-  // reads its aggregates: injector kinds first, lifecycle codes after.
-  for (const obs::KindStats& s : lifecycle_stats_) {
-    if (s.count == 0) continue;
-    tl.faults_injected += s.count;
-    if (tl.first_fault == kNever || s.first < tl.first_fault)
-      tl.first_fault = s.first;
-    if (tl.last_fault == kNever || s.last > tl.last_fault)
-      tl.last_fault = s.last;
-  }
-  for (std::size_t k = 0; k < net::kFaultCodeCount; ++k) {
-    const obs::KindStats& s =
-        k < net::kFaultKindCount
-            ? faults_->kind_stats(static_cast<net::FaultKind>(k))
-            : lifecycle_stats_[k - net::kFaultKindCount];
-    if (s.count == 0) continue;
-    obs::TimelineEntry e;
-    e.name = net::fault_code_name(static_cast<std::uint8_t>(k));
-    e.count = s.count;
-    e.first = s.first;
-    e.last = s.last;
-    tl.faults.push_back(std::move(e));
-  }
-
-  for (const auto& m : monitor_set_.monitors()) {
-    obs::TimelineEntry e;
-    e.name = m->name();
-    e.count = m->total_violations();
-    e.first = m->first_violation();
-    e.last = m->last_violation();
-    if (e.count > 0) {
-      tl.violations_total += e.count;
-      if (tl.first_violation == kNever || e.first < tl.first_violation)
-        tl.first_violation = e.first;
-      if (tl.last_violation == kNever || e.last > tl.last_violation)
-        tl.last_violation = e.last;
-    }
-    tl.clauses.push_back(std::move(e));
-  }
-
-  SimTime last = kNever;
-  for (SimTime t : {net_->last_send_time(), net_->last_delivery_time(),
-                    tl.last_fault, tl.last_violation}) {
-    if (t == kNever) continue;
-    if (last == kNever || t > last) last = t;
-  }
-  tl.last_activity = last;
+  obs::StabilizationTimeline tl = obs::timeline_from_bus(*bus_);
   tl.quiescent = quiescent();
   return tl;
 }
@@ -595,7 +486,9 @@ RunStats SystemHarness::stats() const {
   stats.sent_request = net_->sent_of_type(net::MsgType::kRequest);
   stats.sent_reply = net_->sent_of_type(net::MsgType::kReply);
   stats.sent_release = net_->sent_of_type(net::MsgType::kRelease);
-  stats.faults_injected = faults_->total_injected();
+  const std::vector<obs::KindStats>& fault_stats = bus_->fault_stats();
+  stats.faults_injected =
+      bus_->kind_stats(obs::EventKind::kFaultInjected).count;
   const lspec::TmeMonitors& tm = tme_handles_;
   if (tm.me1 != nullptr) stats.me1_violations = tm.me1->total_violations();
   if (tm.me3 != nullptr) stats.me3_violations = tm.me3->total_violations();
@@ -611,14 +504,12 @@ RunStats SystemHarness::stats() const {
   }
   stats.lspec_clause_violations = lspec_handles_.total_violations();
   stats.observe_ns = observe_ns_;
-  stats.crashes = lifecycle_stats_[0].count;
-  stats.recoveries = lifecycle_stats_[1].count;
-  stats.partitions = lifecycle_stats_[2].count;
-  stats.partition_heals = lifecycle_stats_[3].count;
+  stats.crashes = fault_stats[net::kFaultCodeProcessCrash].count;
+  stats.recoveries = fault_stats[net::kFaultCodeProcessRecover].count;
+  stats.partitions = fault_stats[net::kFaultCodePartition].count;
+  stats.partition_heals = fault_stats[net::kFaultCodePartitionHeal].count;
   stats.deliveries_to_crashed = deliveries_to_crashed_;
   stats.dropped_by_partition = net_->dropped_by_partition();
-  stats.faults_injected += stats.crashes + stats.recoveries +
-                           stats.partitions + stats.partition_heals;
   // Fold the tail window (last fault to run end) into the reconvergence
   // numbers without disturbing the live tracker: stats() may be called
   // mid-run and again later.
@@ -652,14 +543,10 @@ RunStats SystemHarness::stats() const {
     metrics_.counter("wrapper_resends").set(resends);
     metrics_.counter("level1_corrections").set(stats.level1_corrections);
     for (std::size_t k = 0; k < net::kFaultCodeCount; ++k) {
-      const std::uint64_t count =
-          k < net::kFaultKindCount
-              ? faults_->count(static_cast<net::FaultKind>(k))
-              : lifecycle_stats_[k - net::kFaultKindCount].count;
       metrics_
           .counter(std::string("faults.") +
                    net::fault_code_name(static_cast<std::uint8_t>(k)))
-          .set(count);
+          .set(fault_stats[k].count);
     }
     for (const auto& [name, total] :
          monitor_set_.violations_total_by_monitor()) {

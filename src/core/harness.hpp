@@ -28,11 +28,8 @@
 #include "lspec/program_monitors.hpp"
 #include "lspec/snapshot.hpp"
 #include "lspec/tme_monitors.hpp"
-#include "sim/trace.hpp"
 #include "me/client.hpp"
-#include "me/lamport.hpp"
 #include "me/protocol_registry.hpp"
-#include "me/ricart_agrawala.hpp"
 #include "net/fault_injector.hpp"
 #include "net/fault_process.hpp"
 #include "net/network.hpp"
@@ -45,23 +42,13 @@
 
 namespace graybox::core {
 
-/// Deprecated: the closed enum from before the protocol registry. Kept so
-/// enum-era call sites (tests, benches) compile unchanged; it converts
-/// implicitly into AlgorithmId below. New code should name algorithms by
-/// their registered string (me::ProtocolRegistry).
-enum class Algorithm { kRicartAgrawala, kLamport, kFragile };
-
-const char* to_string(Algorithm a);
-
 /// An algorithm reference: a name resolved through me::ProtocolRegistry at
 /// harness construction (aliases accepted; unknown names fail fast with
-/// the registered list). Implicitly constructible from the deprecated
-/// Algorithm enum and from string literals.
+/// the registered list). Implicitly constructible from strings.
 struct AlgorithmId {
   std::string name = "ricart-agrawala";
 
   AlgorithmId() = default;
-  AlgorithmId(Algorithm a) : name(to_string(a)) {}          // NOLINT
   AlgorithmId(const char* n) : name(n) {}                   // NOLINT
   AlgorithmId(std::string n) : name(std::move(n)) {}        // NOLINT
   AlgorithmId(std::string_view n) : name(n) {}              // NOLINT
@@ -84,9 +71,9 @@ struct HarnessConfig {
   std::vector<AlgorithmId> per_process_algorithms{};
 
   /// Uniform "key=value" algorithm options, resolved against each
-  /// process's factory schema (unknown keys fail fast). Overrides the
-  /// deprecated option structs below; in mixed runs every key must be
-  /// valid for every factory — prefer per_process_options there.
+  /// process's factory schema (unknown keys fail fast). In mixed runs every
+  /// key must be valid for every factory — prefer per_process_options
+  /// there.
   std::vector<std::string> algorithm_options{};
 
   /// Per-process options (size n when non-empty), appended after
@@ -110,12 +97,6 @@ struct HarnessConfig {
 
   net::DelayModel delay = net::DelayModel::uniform(1, 5);
   me::ClientConfig client{};
-
-  /// Deprecated: pre-registry per-algorithm option structs. Still honoured
-  /// (folded into the option resolution below algorithm_options), so
-  /// enum-era call sites keep working.
-  me::RicartAgrawalaOptions ra_options{};
-  me::LamportOptions lamport_options{};
 
   /// Master seed; every stochastic component gets an independent stream.
   std::uint64_t seed = 1;
@@ -151,12 +132,13 @@ struct HarnessConfig {
   /// E14 before/after measurement set this.
   bool reference_full_sweep_monitors = false;
 
-  /// Retain this many typed events in the observability bus (sends,
-  /// deliveries, state transitions, faults, wrapper corrections, monitor
-  /// violations). 0 disables event recording; the bus object always exists
-  /// and every producer stays attached, so the disabled cost is one
-  /// predicted branch per would-be event. The human-readable trace() view
-  /// renders from the same ring.
+  /// Size of the observability bus's ring: how many of the most recent
+  /// typed events (sends, deliveries, state transitions, faults, wrapper
+  /// corrections, monitor violations) are retained for events().dump(),
+  /// Perfetto export and causal queries. 0 retains none. It sizes the ring
+  /// only: the bus's aggregates, and every fact read from them (timeline(),
+  /// stabilization_report(), RunStats fault counts), are exact at any
+  /// capacity.
   std::size_t trace_capacity = 0;
 
   /// Install the metrics instrumentation (CS wait histogram, queue-depth
@@ -184,10 +166,10 @@ struct HarnessConfig {
 
 /// The registry-canonical serialization of a config's algorithm choice:
 /// per-process canonical specs ("name" or "name[key=value,...]", options
-/// fully resolved with the deprecated structs folded in), "+"-joined for
-/// heterogeneous systems. Two configs that construct identical processes
-/// serialize identically regardless of how their options were spelled;
-/// the engine's config digests hash exactly this string.
+/// fully resolved), "+"-joined for heterogeneous systems. Two configs that
+/// construct identical processes serialize identically regardless of how
+/// their options were spelled; the engine's config digests hash exactly
+/// this string.
 std::string algorithm_spec(const HarnessConfig& config);
 
 struct RunStats {
@@ -305,8 +287,9 @@ class SystemHarness {
   lspec::SendMonotonicityMonitor& send_monitor() { return *send_mono_; }
   lspec::FifoMonitor& fifo_monitor() { return *fifo_; }
 
-  /// The typed event bus. Always present; disabled (capacity 0) unless
-  /// config.trace_capacity > 0.
+  /// The typed event bus: the run's store of fault and violation facts.
+  /// Always present with exact aggregates; its ring retains
+  /// config.trace_capacity events (dump() prints the tail).
   obs::EventBus& events() { return *bus_; }
   const obs::EventBus& events() const { return *bus_; }
 
@@ -319,11 +302,6 @@ class SystemHarness {
 
   /// Live metric instruments; empty unless config.collect_metrics.
   const obs::MetricsRegistry& metrics() const { return metrics_; }
-
-  /// Rolling human-readable trace; empty unless config.trace_capacity > 0.
-  /// A lazily rendered text view over events(): rebuilt from the retained
-  /// ring on access, preserving the legacy "[time] text" dump format.
-  const sim::Trace& trace() const;
 
   /// Arm clients and wrappers.
   void start();
@@ -341,11 +319,10 @@ class SystemHarness {
   RunStats stats() const;
 
   /// The run's convergence story: fault burst -> first violation ->
-  /// per-clause decay -> last violation -> quiescence. Derived from the
-  /// fault injector, monitor set, and network activity bookkeeping, so it
-  /// works even with the event bus disabled; with the bus enabled,
-  /// obs::timeline_from_bus(events()) agrees on every shared field.
-  /// Requires config.install_monitors (like stabilization_report()).
+  /// per-clause decay -> last violation -> quiescence.
+  /// obs::timeline_from_bus(events()) with `quiescent` from quiescent();
+  /// exact at any trace_capacity. Requires config.install_monitors (like
+  /// stabilization_report()).
   obs::StabilizationTimeline timeline() const;
 
   /// True when every process is thinking and no message is in flight.
@@ -353,8 +330,8 @@ class SystemHarness {
 
  private:
   std::unique_ptr<me::TmeProcess> make_process(ProcessId pid);
-  /// Record a lifecycle fault (bus event + aggregate) and open a new
-  /// reconvergence window.
+  /// Record a lifecycle fault on the bus and open a new reconvergence
+  /// window.
   void note_lifecycle(std::uint8_t code, ProcessId pid);
   /// Close the current reconvergence window (a new fault arrived).
   void on_fault_arrival();
@@ -379,10 +356,6 @@ class SystemHarness {
   Rng recovery_rng_;
   std::vector<char> crashed_;
   std::uint64_t deliveries_to_crashed_ = 0;
-  /// count/first/last per lifecycle fault code (crash, recover, partition,
-  /// heal — codes 7..10); mirrors what the bus aggregates so timeline()
-  /// agrees with timeline_from_bus() with the bus disabled.
-  std::array<obs::KindStats, 4> lifecycle_stats_{};
   // Reconvergence tracking: every fault arrival closes the window opened
   // by the previous one at the last safety violation seen inside it.
   SimTime prev_fault_time_ = kNever;
@@ -403,9 +376,6 @@ class SystemHarness {
   // Pull counters are refreshed from component state inside const stats().
   mutable obs::MetricsRegistry metrics_;
   std::vector<SimTime> hungry_since_;  ///< per-pid CS wait start (metrics)
-  // trace() is a lazily rendered view over bus_; mutable for const access.
-  mutable sim::Trace trace_{0};
-  mutable std::uint64_t trace_rendered_total_ = 0;
   std::uint64_t observe_ns_ = 0;
   std::unique_ptr<lspec::StructuralSpecMonitor> structural_;
   std::unique_ptr<lspec::SendMonotonicityMonitor> send_mono_;

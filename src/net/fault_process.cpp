@@ -13,10 +13,13 @@ FaultProcess::FaultProcess(sim::Scheduler& sched, FaultInjector& injector,
       injector_(injector),
       n_(n),
       config_(config),
-      callbacks_(std::move(callbacks)) {
+      callbacks_(std::move(callbacks)),
+      down_(n, 0) {
   GBX_EXPECTS(n_ >= 1);
   GBX_EXPECTS(config_.downtime_mean > 0);
   GBX_EXPECTS(config_.partition_hold_mean > 0);
+  GBX_EXPECTS(config_.partition_mean == 0 ||
+              (n_ <= 64 && "partition streams need n <= 64 (64-bit masks)"));
   // Fixed split order: stream RNGs by index, then lifecycle durations.
   // Nothing the system under test does can perturb these draws.
   for (std::size_t s = 0; s < kStreamCount; ++s) stream_rngs_[s] = rng.split();
@@ -98,16 +101,16 @@ void FaultProcess::fire_crash() {
       std::max<SimTime>(1, lifecycle_rng_.exponential(config_.downtime_mean));
   if (callbacks_.crash == nullptr) return;
   if (down_count_ >= config_.max_down) return;
-  if ((down_mask_ >> pid) & 1u) return;
+  if (down_[pid]) return;
   if (!callbacks_.crash(pid)) return;
-  down_mask_ |= std::uint64_t{1} << pid;
+  down_[pid] = 1;
   ++down_count_;
   ++crashes_;
   ++arrivals_applied_;
   note(kFaultCodeProcessCrash, pid);
   sched_.schedule_at(sched_.now() + down, [this, pid] {
-    if (((down_mask_ >> pid) & 1u) == 0) return;
-    down_mask_ &= ~(std::uint64_t{1} << pid);
+    if (!down_[pid]) return;
+    down_[pid] = 0;
     --down_count_;
     ++recoveries_;
     if (callbacks_.recover) callbacks_.recover(pid);

@@ -102,6 +102,8 @@ class FaultProcess {
 
   /// `n` is the process count (crash targets and partition masks are drawn
   /// from it). Streams draw from RNGs split off `rng` in a fixed order.
+  /// A partition stream needs n <= 64 (masks are 64-bit); a larger n with
+  /// partition_mean > 0 fails fast here.
   FaultProcess(sim::Scheduler& sched, FaultInjector& injector, std::size_t n,
                FaultProcessConfig config, Rng rng, Callbacks callbacks = {});
 
@@ -168,9 +170,10 @@ class FaultProcess {
   std::uint64_t recoveries_ = 0;
   std::uint64_t partitions_ = 0;
   std::uint64_t heals_ = 0;
-  /// Bitmask of processes this FaultProcess has crashed and not yet
-  /// recovered (its own view; manual harness crashes are not tracked).
-  std::uint64_t down_mask_ = 0;
+  /// Per process (size n): nonzero while this FaultProcess has it crashed
+  /// and not yet recovered (its own view; manual harness crashes are not
+  /// tracked).
+  std::vector<char> down_;
   std::size_t down_count_ = 0;
   bool partition_active_ = false;
 };

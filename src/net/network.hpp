@@ -82,9 +82,11 @@ class Network {
   /// connected; requires n <= 64 for a nonzero mask.
   void set_partition(std::uint64_t mask);
   std::uint64_t partition_mask() const { return partition_mask_; }
-  /// True when `a` and `b` are currently on opposite partition sides.
+  /// True when `a` and `b` are currently on opposite partition sides. A
+  /// nonzero mask implies n <= 64, so the shifts stay in range.
   bool partitioned(ProcessId a, ProcessId b) const {
-    return (((partition_mask_ >> a) ^ (partition_mask_ >> b)) & 1u) != 0;
+    return partition_mask_ != 0 &&
+           (((partition_mask_ >> a) ^ (partition_mask_ >> b)) & 1u) != 0;
   }
   /// Messages lost to a partition at send time (accounted like drops).
   std::uint64_t dropped_by_partition() const { return dropped_by_partition_; }
@@ -107,11 +109,6 @@ class Network {
   /// messages). nullptr (the default) disables — one predicted branch on
   /// the send path.
   void set_provenance(obs::ProvenanceTracker* prov) { prov_ = prov; }
-
-  /// Sim-time of the most recent send / delivery (kNever before the
-  /// first). Feeds quiescence detection in the stabilization timeline.
-  SimTime last_send_time() const { return last_send_time_; }
-  SimTime last_delivery_time() const { return last_delivery_time_; }
 
   // --- Accounting -------------------------------------------------------
   std::uint64_t total_sent() const { return total_sent_; }
@@ -147,8 +144,6 @@ class Network {
   std::vector<MessageObserver> delivery_observers_;
   obs::EventBus* bus_ = nullptr;
   obs::ProvenanceTracker* prov_ = nullptr;
-  SimTime last_send_time_ = kNever;
-  SimTime last_delivery_time_ = kNever;
   std::uint64_t next_uid_ = 1;
   /// Shared by all channels; see Channel::set_spurious_uid_counter.
   std::uint64_t next_spurious_uid_ = kSpuriousUidBase;

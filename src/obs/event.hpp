@@ -10,7 +10,8 @@
 // An Event is a compact POD: sim-time, a kind, the acting process, an
 // optional peer, and a handful of payload integers whose meaning depends on
 // the kind. No strings are stored; human-readable text is rendered lazily
-// at dump time (EventBus::render), so recording is a ring write.
+// at dump time (EventBus::render), so recording is an aggregate update
+// plus, when a ring is sized, a slot write.
 #pragma once
 
 #include <cstdint>

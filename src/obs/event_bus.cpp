@@ -1,5 +1,7 @@
 #include "obs/event_bus.hpp"
 
+#include <ostream>
+
 #include "common/contracts.hpp"
 
 namespace graybox::obs {
@@ -127,22 +129,19 @@ EventBus::EventBus(const sim::Scheduler& sched, std::size_t capacity)
   if (capacity_ > 0) ring_.resize(capacity_);
 }
 
-void EventBus::record_slow(const Event& e) {
-  Event stamped = e;
-  stamped.time = sched_.now();
-
-  kind_stats_[static_cast<std::size_t>(stamped.kind)].note(stamped.time);
-  if (stamped.kind == EventKind::kMonitorViolation &&
-      stamped.monitor < monitor_stats_.size()) {
-    monitor_stats_[stamped.monitor].note(stamped.time);
+void EventBus::note_keyed(const Event& e) {
+  if (e.kind == EventKind::kMonitorViolation &&
+      e.monitor < monitor_stats_.size()) {
+    monitor_stats_[e.monitor].note(e.time);
   }
-  if (stamped.kind == EventKind::kFaultInjected &&
-      stamped.a < fault_stats_.size()) {
-    fault_stats_[stamped.a].note(stamped.time);
+  if (e.kind == EventKind::kFaultInjected && e.a < fault_stats_.size()) {
+    fault_stats_[e.a].note(e.time);
   }
+}
 
+void EventBus::retain(const Event& e) {
   const std::size_t slot = (head_ + size_) % capacity_;
-  ring_[slot] = stamped;
+  ring_[slot] = e;
   if (size_ < capacity_) {
     ++size_;
   } else {
@@ -163,6 +162,14 @@ void EventBus::clear() {
   for (KindStats& s : kind_stats_) s = KindStats{};
   for (KindStats& s : monitor_stats_) s = KindStats{};
   for (KindStats& s : fault_stats_) s = KindStats{};
+}
+
+void EventBus::dump(std::ostream& os, std::size_t last_n) const {
+  const std::size_t start = size_ > last_n ? size_ - last_n : 0;
+  for (std::size_t i = start; i < size_; ++i) {
+    const Event& e = event(i);
+    os << '[' << e.time << "] " << render(e) << '\n';
+  }
 }
 
 void EventBus::set_monitor_names(std::vector<std::string> names) {

@@ -3,16 +3,18 @@
 // One bus per harness (or per hand-wired system). Producers — the network,
 // the processes, the wrappers, the fault injector, the monitor set — hold a
 // nullable pointer to it and record compact Events; the bus stamps the
-// simulation time, appends to a preallocated ring, and maintains exact
-// count/first/last aggregates per event kind, per monitor, and per fault
-// kind (the aggregates survive ring eviction, which is what timelines are
-// derived from).
+// simulation time, always maintains exact count/first/last aggregates per
+// event kind, per monitor, and per fault kind, and appends to a
+// preallocated ring when one was sized. The aggregates are the run's one
+// store of fault and violation facts: the harness's timeline, stabilization
+// report and fault counts all read them, at any ring capacity.
 //
-// Cost model: record() on a disabled bus (capacity 0) is a single predicted
-// branch; enabled it is a couple of array writes, no allocation ever after
-// construction. bench_substrate_micro measures both sides.
+// Cost model: record() with no ring (capacity 0) is one aggregate update
+// plus a predicted branch; with a ring it adds a slot write. No allocation
+// ever after construction. bench_substrate_micro measures both sides.
 #pragma once
 
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -23,20 +25,26 @@ namespace graybox::obs {
 
 class EventBus {
  public:
-  /// A bus retaining the most recent `capacity` events. 0 disables the bus
-  /// entirely (recording, aggregates, and rendering all become no-ops).
+  /// A bus retaining the most recent `capacity` events. 0 retains none;
+  /// the aggregates are exact either way.
   EventBus(const sim::Scheduler& sched, std::size_t capacity);
 
+  /// True when the ring retains events (capacity > 0).
   bool enabled() const { return capacity_ != 0; }
   std::size_t capacity() const { return capacity_; }
   /// Current simulation time (what the next record() would be stamped with).
   SimTime now() const { return sched_.now(); }
 
   /// Record one event. `e.time` is overwritten with the scheduler's current
-  /// time; every other field is the caller's. No-op when disabled.
+  /// time; every other field is the caller's. The aggregates always count
+  /// it; the ring keeps it only when capacity > 0.
   void record(Event e) {
-    if (capacity_ == 0) return;
-    record_slow(e);
+    e.time = sched_.now();
+    kind_stats_[static_cast<std::size_t>(e.kind)].note(e.time);
+    if (e.kind == EventKind::kMonitorViolation ||
+        e.kind == EventKind::kFaultInjected)
+      note_keyed(e);
+    if (capacity_ != 0) retain(e);
   }
 
   // --- Retained ring (oldest first) -------------------------------------
@@ -44,10 +52,15 @@ class EventBus {
   std::size_t size() const { return size_; }
   /// i-th retained event, 0 = oldest.
   const Event& event(std::size_t i) const;
-  /// Total events ever recorded, retained or evicted.
+  /// Total events ever retained by the ring, evicted ones included (0 with
+  /// capacity 0; the aggregates count every event).
   std::uint64_t total_recorded() const { return total_; }
   /// Drop retained events and reset all aggregates.
   void clear();
+
+  /// Print the ring's last `last_n` events, oldest first, one
+  /// "[time] text" line each (text as render()).
+  void dump(std::ostream& os, std::size_t last_n = 64) const;
 
   // --- Exact aggregates (survive eviction) ------------------------------
 
@@ -77,12 +90,14 @@ class EventBus {
     return fault_kind_names_;
   }
 
-  /// Human-readable one-line rendering (no leading "[time]"); matches the
-  /// legacy sim::Trace text for the kinds the old string trace covered.
+  /// Human-readable one-line rendering (no leading "[time]"; dump() adds
+  /// it).
   std::string render(const Event& e) const;
 
  private:
-  void record_slow(const Event& e);
+  /// Per-monitor / per-fault-kind aggregate for a keyed event.
+  void note_keyed(const Event& e);
+  void retain(const Event& e);
 
   const sim::Scheduler& sched_;
   std::size_t capacity_;

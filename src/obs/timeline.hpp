@@ -9,10 +9,9 @@
 //               -> last violation -> quiescence
 //
 // with exact counts and first/last sim-times per fault kind and per monitor
-// clause. It is a pure value derived either from live component state
-// (SystemHarness::timeline()) or from EventBus aggregates
-// (timeline_from_bus, for hand-wired systems) — both paths agree because
-// they read the same underlying first/last bookkeeping.
+// clause. It is a pure value derived from EventBus aggregates
+// (timeline_from_bus); SystemHarness::timeline() is that derivation with
+// quiescence read from the harness's live state.
 #pragma once
 
 #include <string>
@@ -50,7 +49,8 @@ struct StabilizationTimeline {
   std::vector<TimelineEntry> clauses;  ///< per monitor, all listed
 
   // Quiescence: time of the last observable activity (send, delivery,
-  // fault, or violation) and whether the system had settled by run_end.
+  // fault, violation, or wrapper correction) and whether the system had
+  // settled by run_end.
   SimTime last_activity = kNever;
   bool quiescent = false;
 

@@ -23,6 +23,7 @@
 #include <tuple>
 #include <vector>
 
+#include "algorithm_param.hpp"
 #include "clock/clock_stamp.hpp"
 #include "clock/vector_clock.hpp"
 #include "core/harness.hpp"
@@ -373,22 +374,22 @@ void expect_equivalent(const ObservedRun& a, const ObservedRun& b) {
 // and fabricated-message (empty stamp) paths.
 class SparseVsDenseByFaultKind
     : public ::testing::TestWithParam<
-          std::tuple<core::Algorithm, net::FaultKind, std::uint64_t>> {};
+          std::tuple<AlgoParam, net::FaultKind, std::uint64_t>> {};
 
 TEST_P(SparseVsDenseByFaultKind, IdenticalVerdicts) {
   const auto [algo, kind, seed] = GetParam();
   const auto mix = net::FaultMix::only(kind);
-  const auto sparse = run_once(algo, 4, mix, 6, seed,
+  const auto sparse = run_once(registry_name(algo), 4, mix, 6, seed,
                                Reference::kDenseClocks, false, 3000);
-  const auto dense = run_once(algo, 4, mix, 6, seed,
+  const auto dense = run_once(registry_name(algo), 4, mix, 6, seed,
                               Reference::kDenseClocks, true, 3000);
   expect_equivalent(sparse, dense);
 }
 
 std::string matrix_name(
     const ::testing::TestParamInfo<
-        std::tuple<core::Algorithm, net::FaultKind, std::uint64_t>>& info) {
-  std::string name = to_string(std::get<0>(info.param));
+        std::tuple<AlgoParam, net::FaultKind, std::uint64_t>>& info) {
+  std::string name = registry_name(std::get<0>(info.param));
   name += "_";
   name += net::to_string(std::get<1>(info.param));
   name += "_s" + std::to_string(std::get<2>(info.param));
@@ -401,8 +402,7 @@ std::string matrix_name(
 INSTANTIATE_TEST_SUITE_P(
     Matrix, SparseVsDenseByFaultKind,
     ::testing::Combine(
-        ::testing::Values(core::Algorithm::kRicartAgrawala,
-                          core::Algorithm::kLamport),
+        ::testing::Values(AlgoParam::kRicartAgrawala, AlgoParam::kLamport),
         ::testing::Values(net::FaultKind::kMessageDrop,
                           net::FaultKind::kMessageDuplicate,
                           net::FaultKind::kMessageCorrupt,
@@ -426,10 +426,10 @@ TEST(SparseVsDense, MixedBurstCarvalhoRoucairol) {
 TEST(SparseVsDense, N64MixedBurst) {
   // The scale the delta encoding exists for: at N=64 dense stamps copy 64
   // components per message; the sparse run must still be bit-identical.
-  const auto sparse = run_once(core::Algorithm::kRicartAgrawala, 64,
+  const auto sparse = run_once("ricart-agrawala", 64,
                                net::FaultMix::all(), 12, 9,
                                Reference::kDenseClocks, false, 1200);
-  const auto dense = run_once(core::Algorithm::kRicartAgrawala, 64,
+  const auto dense = run_once("ricart-agrawala", 64,
                               net::FaultMix::all(), 12, 9,
                               Reference::kDenseClocks, true, 1200);
   expect_equivalent(sparse, dense);
@@ -443,10 +443,10 @@ class IncrementalVsFullSweep
 TEST_P(IncrementalVsFullSweep, IdenticalVerdictsAtN64) {
   const auto mix = net::FaultMix::only(GetParam());
   const auto incremental =
-      run_once(core::Algorithm::kRicartAgrawala, 64, mix, 10, 13,
+      run_once("ricart-agrawala", 64, mix, 10, 13,
                Reference::kFullSweepMonitors, false, 900);
   const auto full =
-      run_once(core::Algorithm::kRicartAgrawala, 64, mix, 10, 13,
+      run_once("ricart-agrawala", 64, mix, 10, 13,
                Reference::kFullSweepMonitors, true, 900);
   expect_equivalent(incremental, full);
 }

@@ -305,5 +305,39 @@ TEST(Flags, DoubleParsing) {
   EXPECT_DOUBLE_EQ(flags.get_double("rate", 0), 0.125);
 }
 
+TEST(Flags, NegativeIntParses) {
+  const char* argv[] = {"prog", "--n=-3"};
+  Flags flags(2, argv, {{"n", ""}});
+  EXPECT_EQ(flags.get_int("n", 0), -3);
+}
+
+// A numeric value must parse in full and in range; anything else is a
+// usage error (exit 2), like an unknown flag.
+void expect_usage_exit(const char* arg, bool as_double) {
+  const char* argv[] = {"prog", arg};
+  EXPECT_EXIT(
+      {
+        Flags flags(2, argv, {{"v", ""}});
+        if (as_double) {
+          (void)flags.get_double("v", 0.25);
+        } else {
+          (void)flags.get_int("v", 5);
+        }
+      },
+      ::testing::ExitedWithCode(2), "invalid value '.*' for --v")
+      << arg;
+}
+
+TEST(Flags, MalformedIntExitsWithUsage) {
+  for (const char* arg : {"--v=abc", "--v=12x", "--v=",
+                          "--v=9223372036854775808"})  // int64 max + 1
+    expect_usage_exit(arg, false);
+}
+
+TEST(Flags, MalformedDoubleExitsWithUsage) {
+  for (const char* arg : {"--v=abc", "--v=0.5x", "--v=", "--v=1e999"})
+    expect_usage_exit(arg, true);
+}
+
 }  // namespace
 }  // namespace graybox

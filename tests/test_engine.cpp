@@ -322,7 +322,7 @@ TEST(ConfigDigest, StableAndSensitive) {
   n.n = 7;
   EXPECT_NE(config_digest(n), digest);
   HarnessConfig algo = base;
-  algo.algorithm = Algorithm::kLamport;
+  algo.algorithm = "lamport";
   EXPECT_NE(config_digest(algo), digest);
   HarnessConfig bare = base;
   bare.wrapped = false;
@@ -331,8 +331,7 @@ TEST(ConfigDigest, StableAndSensitive) {
   period.wrapper.resend_period = 999;
   EXPECT_NE(config_digest(period), digest);
   HarnessConfig mixed = base;
-  mixed.per_process_algorithms = {Algorithm::kLamport, Algorithm::kLamport,
-                                  Algorithm::kLamport};
+  mixed.per_process_algorithms = {"lamport", "lamport", "lamport"};
   EXPECT_NE(config_digest(mixed), digest);
 }
 

@@ -109,6 +109,47 @@ TEST(FaultProcess, StreamsStopAtEnd) {
     EXPECT_LT(a.time, 1000u);
 }
 
+TEST(FaultProcess, CrashStreamBeyond64Processes) {
+  // Crash bookkeeping is per process, not a 64-bit mask: at N=100 crashes
+  // land on pids past 63 and each recovers exactly the process it downed.
+  HarnessConfig config = load_config(31);
+  config.n = 100;
+  config.install_monitors = false;
+  config.client.think_mean = 4000;
+  config.fault_process.crash_mean = 15;
+  config.fault_process.downtime_mean = 40;
+  config.fault_process.max_down = 8;
+  SystemHarness h(config);
+  h.fault_load().record_schedule(true);
+  h.start();
+  h.run_for(3000);
+  h.fault_load().stop();
+  h.run_for(5000);  // pending recoveries still execute
+
+  bool high_pid = false;
+  std::vector<int> down(config.n, 0);
+  for (const net::FaultArrival& a : h.fault_load().schedule()) {
+    if (a.code == net::kFaultCodeProcessCrash) {
+      high_pid = high_pid || a.pid >= 64;
+      EXPECT_EQ(down[a.pid]++, 0) << a.pid;
+    } else if (a.code == net::kFaultCodeProcessRecover) {
+      EXPECT_EQ(down[a.pid]--, 1) << a.pid;
+    }
+  }
+  EXPECT_TRUE(high_pid);
+  EXPECT_GT(h.fault_load().crashes(), 0u);
+  EXPECT_EQ(h.fault_load().recoveries(), h.fault_load().crashes());
+  for (ProcessId pid = 0; pid < config.n; ++pid) EXPECT_FALSE(h.crashed(pid));
+}
+
+TEST(FaultProcess, PartitionStreamBeyond64ProcessesFailsFast) {
+  HarnessConfig config = load_config(32);
+  config.n = 65;
+  config.install_monitors = false;
+  config.fault_process.partition_mean = 100;
+  EXPECT_DEATH(SystemHarness h(config), "partition streams need n <= 64");
+}
+
 // --- Crash / recovery -------------------------------------------------------
 
 TEST(HarnessLifecycle, CrashSwallowsDeliveriesUntilRecovery) {
@@ -170,10 +211,10 @@ TEST(HarnessLifecycle, PartitionBlocksCrossTrafficUntilHealed) {
 
 TEST(HarnessLifecycle, TimelineParityWithBusUnderLifecycleFaults) {
   // Lifecycle faults flow through the same fault-code space as injector
-  // faults; the live timeline and the bus derivation must agree on every
-  // shared field, including the lifecycle entries.
+  // faults: the bus aggregates hold them with no ring retained, and the
+  // timeline, the report and RunStats all read them from there.
   HarnessConfig config = load_config(17);
-  config.trace_capacity = 1u << 20;
+  ASSERT_EQ(config.trace_capacity, 0u);
   SystemHarness h(config);
   h.start();
   h.run_for(400);
@@ -183,30 +224,32 @@ TEST(HarnessLifecycle, TimelineParityWithBusUnderLifecycleFaults) {
   h.recover(2);
   h.partition(0b0110);
   h.run_for(300);
+  const SimTime heal_at = h.scheduler().now();
   h.heal_partition();
   h.run_for(2000);
   h.drain(2000);
 
-  const obs::StabilizationTimeline live = h.timeline();
-  const obs::StabilizationTimeline from_bus =
-      obs::timeline_from_bus(h.events());
-  EXPECT_EQ(from_bus.faults_injected, live.faults_injected);
-  EXPECT_EQ(from_bus.first_fault, live.first_fault);
-  EXPECT_EQ(from_bus.last_fault, live.last_fault);
-  ASSERT_EQ(from_bus.faults.size(), live.faults.size());
-  for (std::size_t i = 0; i < live.faults.size(); ++i) {
-    EXPECT_EQ(from_bus.faults[i].name, live.faults[i].name) << i;
-    EXPECT_EQ(from_bus.faults[i].count, live.faults[i].count) << i;
-    EXPECT_EQ(from_bus.faults[i].first, live.faults[i].first) << i;
-    EXPECT_EQ(from_bus.faults[i].last, live.faults[i].last) << i;
+  const obs::StabilizationTimeline tl = h.timeline();
+  const RunStats stats = h.stats();
+  EXPECT_EQ(h.events().size(), 0u);
+  EXPECT_EQ(tl.faults_injected, h.faults().total_injected() + 4);
+  EXPECT_EQ(stats.faults_injected, tl.faults_injected);
+  EXPECT_EQ(tl.first_fault, h.faults().first_fault_time());
+  EXPECT_EQ(tl.last_fault, heal_at);
+  EXPECT_EQ(h.stabilization_report().last_fault, heal_at);
+  std::uint64_t lifecycle = 0;
+  for (const obs::TimelineEntry& f : tl.faults) {
+    if (f.name == "process-crash" || f.name == "process-recover" ||
+        f.name == "partition" || f.name == "partition-heal") {
+      EXPECT_EQ(f.count, 1u) << f.name;
+      lifecycle += f.count;
+    }
   }
-  bool saw_crash = false, saw_heal = false;
-  for (const obs::TimelineEntry& f : live.faults) {
-    saw_crash = saw_crash || f.name == "process-crash";
-    saw_heal = saw_heal || f.name == "partition-heal";
-  }
-  EXPECT_TRUE(saw_crash);
-  EXPECT_TRUE(saw_heal);
+  EXPECT_EQ(lifecycle, 4u);
+  EXPECT_EQ(stats.crashes, 1u);
+  EXPECT_EQ(stats.recoveries, 1u);
+  EXPECT_EQ(stats.partitions, 1u);
+  EXPECT_EQ(stats.partition_heals, 1u);
 }
 
 TEST(HarnessLifecycle, MetricsCarryAvailabilityInstruments) {

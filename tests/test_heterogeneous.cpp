@@ -25,9 +25,8 @@ namespace {
 HarnessConfig mixed_config(std::uint64_t seed, bool wrapped) {
   HarnessConfig config;
   config.n = 4;
-  config.per_process_algorithms = {
-      Algorithm::kRicartAgrawala, Algorithm::kLamport,
-      Algorithm::kRicartAgrawala, Algorithm::kLamport};
+  config.per_process_algorithms = {"ricart-agrawala", "lamport",
+                                   "ricart-agrawala", "lamport"};
   config.wrapped = wrapped;
   config.wrapper.resend_period = 20;
   config.client.think_mean = 35;

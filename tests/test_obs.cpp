@@ -1,11 +1,14 @@
-// The observability layer: typed EventBus (ring + exact aggregates),
-// metrics registry and its engine-side aggregate fold, stabilization
-// timelines, and the Perfetto export — plus the load-bearing guarantees
-// that (a) every exported metric/timeline artifact is byte-identical
-// across --jobs values and repeated runs, and (b) the two timeline
-// derivations (live harness state vs. bus aggregates) agree.
+// The observability layer: typed EventBus (ring + exact aggregates) and its
+// "[time] text" dump, metrics registry and its engine-side aggregate fold,
+// stabilization timelines, and the Perfetto export — plus the load-bearing
+// guarantees that (a) every exported metric/timeline artifact is
+// byte-identical across --jobs values and repeated runs, and (b) the bus
+// aggregates are the one store of fault and violation facts: the ring's
+// capacity moves none of them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -63,14 +66,39 @@ TEST(EventBus, StampsSchedulerTimeAndRetainsOldestFirst) {
 }
 
 TEST(EventBus, DisabledBusRecordsNothing) {
+  // Capacity 0 retains nothing in the ring, but the aggregates are exact.
   sim::Scheduler sched;
   EventBus bus(sched, 0);
+  bus.set_monitor_names({"ME1"});
+  bus.set_fault_kind_names(net::fault_kind_names());
   EXPECT_FALSE(bus.enabled());
   bus.record(send_event(0, 1));
-  bus.record(send_event(1, 0));
+  sched.schedule_at(4, [&bus] {
+    bus.record(send_event(1, 0));
+    Event v;
+    v.kind = EventKind::kMonitorViolation;
+    v.monitor = 0;
+    bus.record(v);
+    Event f;
+    f.kind = EventKind::kFaultInjected;
+    f.a = net::kFaultCodePartition;
+    bus.record(f);
+  });
+  while (sched.step()) {
+  }
   EXPECT_EQ(bus.size(), 0u);
   EXPECT_EQ(bus.total_recorded(), 0u);
-  EXPECT_EQ(bus.kind_stats(EventKind::kSend).count, 0u);
+  EXPECT_EQ(bus.kind_stats(EventKind::kSend).count, 2u);
+  EXPECT_EQ(bus.kind_stats(EventKind::kSend).first, 0u);
+  EXPECT_EQ(bus.kind_stats(EventKind::kSend).last, 4u);
+  EXPECT_EQ(bus.monitor_stats()[0].count, 1u);
+  EXPECT_EQ(bus.monitor_stats()[0].first, 4u);
+  EXPECT_EQ(bus.fault_stats()[net::kFaultCodePartition].count, 1u);
+  EXPECT_EQ(bus.fault_stats()[net::kFaultCodePartition].last, 4u);
+  EXPECT_EQ(bus.kind_stats(EventKind::kFaultInjected).count, 1u);
+  std::ostringstream os;
+  bus.dump(os);
+  EXPECT_EQ(os.str(), "");
 }
 
 TEST(EventBus, RingEvictsOldestButAggregatesStayExact) {
@@ -231,6 +259,135 @@ TEST(EventBus, RendersAllElevenFaultCodeNames) {
   f.kind = EventKind::kFaultInjected;
   f.a = 42;
   EXPECT_EQ(bare.render(f), "fault fault#42");
+}
+
+// --- Trace: the ring's "[time] text" dump ------------------------------------
+
+// Advances `sched` to sim-time `t` (no-op events only), then records `e`.
+void record_at(sim::Scheduler& sched, EventBus& bus, SimTime t,
+               const Event& e) {
+  if (t > sched.now()) {
+    sched.schedule_at(t, [] {});
+    while (sched.step()) {
+    }
+  }
+  bus.record(e);
+}
+
+// A drop of `count` messages: renders as "drop <count> message(s)".
+Event drop_of(std::uint64_t count) {
+  Event e;
+  e.kind = EventKind::kDrop;
+  e.payload = count;
+  return e;
+}
+
+std::string dump_of(const EventBus& bus, std::size_t last_n = 64) {
+  std::ostringstream os;
+  bus.dump(os, last_n);
+  return os.str();
+}
+
+TEST(Trace, RecordsInOrder) {
+  sim::Scheduler sched;
+  EventBus bus(sched, 4096);
+  record_at(sched, bus, 1, drop_of(1));
+  record_at(sched, bus, 2, drop_of(2));
+  ASSERT_EQ(bus.size(), 2u);
+  EXPECT_EQ(bus.event(0).payload, 1u);
+  EXPECT_EQ(bus.event(1).time, 2u);
+}
+
+TEST(Trace, EvictsOldestBeyondCapacity) {
+  sim::Scheduler sched;
+  EventBus bus(sched, 3);
+  for (std::uint64_t i = 0; i < 10; ++i) record_at(sched, bus, i, drop_of(i));
+  ASSERT_EQ(bus.size(), 3u);
+  EXPECT_EQ(bus.event(0).payload, 7u);
+  EXPECT_EQ(bus.event(1).payload, 8u);
+  EXPECT_EQ(bus.event(2).payload, 9u);
+  EXPECT_EQ(bus.total_recorded(), 10u);
+}
+
+TEST(Trace, ZeroCapacityDropsEverything) {
+  sim::Scheduler sched;
+  EventBus bus(sched, 0);
+  record_at(sched, bus, 1, drop_of(1));
+  EXPECT_EQ(bus.size(), 0u);
+  EXPECT_EQ(bus.total_recorded(), 0u);
+  EXPECT_EQ(dump_of(bus), "");
+}
+
+TEST(Trace, DumpFormatsTail) {
+  sim::Scheduler sched;
+  EventBus bus(sched, 4096);
+  bus.set_monitor_names({"hello"});
+  Event v;
+  v.kind = EventKind::kMonitorViolation;
+  v.monitor = 0;
+  record_at(sched, bus, 5, v);
+  EXPECT_EQ(dump_of(bus), "[5] violation hello\n");
+}
+
+TEST(Trace, DumpLastNTruncatesToTail) {
+  sim::Scheduler sched;
+  EventBus bus(sched, 4096);
+  for (std::uint64_t i = 0; i < 5; ++i) record_at(sched, bus, i, drop_of(i));
+  EXPECT_EQ(dump_of(bus, 2),
+            "[3] drop 3 message(s)\n[4] drop 4 message(s)\n");
+}
+
+TEST(Trace, DumpZeroPrintsNothing) {
+  sim::Scheduler sched;
+  EventBus bus(sched, 4096);
+  record_at(sched, bus, 1, drop_of(1));
+  EXPECT_EQ(dump_of(bus, 0), "");
+}
+
+TEST(Trace, DumpMoreThanSizePrintsEverything) {
+  sim::Scheduler sched;
+  EventBus bus(sched, 4);
+  for (std::uint64_t i = 0; i < 3; ++i) record_at(sched, bus, i, drop_of(i));
+  EXPECT_EQ(dump_of(bus, 100),
+            "[0] drop 0 message(s)\n[1] drop 1 message(s)\n"
+            "[2] drop 2 message(s)\n");
+}
+
+TEST(Trace, DumpAfterEvictionStartsAtOldestRetained) {
+  sim::Scheduler sched;
+  EventBus bus(sched, 2);
+  for (std::uint64_t i = 0; i < 5; ++i) record_at(sched, bus, i, drop_of(i));
+  EXPECT_EQ(dump_of(bus), "[3] drop 3 message(s)\n[4] drop 4 message(s)\n");
+}
+
+TEST(Trace, TotalRecordedCountsEvicted) {
+  sim::Scheduler sched;
+  EventBus bus(sched, 2);
+  EXPECT_EQ(bus.capacity(), 2u);
+  for (std::uint64_t i = 0; i < 7; ++i) record_at(sched, bus, i, drop_of(1));
+  EXPECT_EQ(bus.size(), 2u);
+  EXPECT_EQ(bus.total_recorded(), 7u);
+}
+
+TEST(Trace, ClearResets) {
+  sim::Scheduler sched;
+  EventBus bus(sched, 4096);
+  record_at(sched, bus, 1, drop_of(1));
+  bus.clear();
+  EXPECT_EQ(bus.size(), 0u);
+  EXPECT_EQ(bus.total_recorded(), 0u);
+  EXPECT_EQ(dump_of(bus), "");
+}
+
+TEST(Trace, RecordAfterClearStartsFresh) {
+  sim::Scheduler sched;
+  EventBus bus(sched, 3);
+  for (std::uint64_t i = 0; i < 5; ++i) record_at(sched, bus, i, drop_of(i));
+  bus.clear();
+  record_at(sched, bus, 9, drop_of(9));
+  ASSERT_EQ(bus.size(), 1u);
+  EXPECT_EQ(bus.event(0).time, 9u);
+  EXPECT_EQ(dump_of(bus), "[9] drop 9 message(s)\n");
 }
 
 // --- Histogram ---------------------------------------------------------------
@@ -470,95 +627,120 @@ TEST(HarnessTimeline, ConsistentWithStabilizationReport) {
   EXPECT_TRUE(doc.contains("divergent_window"));
 }
 
-TEST(HarnessTimeline, BusDerivationAgreesWithLiveState) {
-  core::HarnessConfig config = obs_config(11);
-  config.trace_capacity = 1u << 20;  // retain the whole run
-  core::SystemHarness h(config);
-  run_burst(h);
+TEST(HarnessTimeline, OneStoreAtAnyTraceCapacity) {
+  // The bus aggregates are the one store of fault and violation facts, so
+  // the ring's size moves none of them. A sustained-load run with crash and
+  // partition streams must give identical timeline(), stabilization_report()
+  // and RunStats fault/violation fields whether the ring holds the whole
+  // run, only its last 8 events, or nothing.
+  struct Run {
+    std::unique_ptr<core::SystemHarness> h;
+    std::string timeline;
+    core::StabilizationReport report;
+    core::RunStats stats;
+  };
+  auto run = [](std::size_t capacity) {
+    core::HarnessConfig config = obs_config(21);
+    config.trace_capacity = capacity;
+    config.collect_metrics = true;  // the faults.<code> pull counters
+    config.fault_process.drop_mean = 150;
+    config.fault_process.corrupt_mean = 150;
+    config.fault_process.process_corrupt_mean = 300;
+    config.fault_process.crash_mean = 400;
+    config.fault_process.downtime_mean = 150;
+    config.fault_process.partition_mean = 600;
+    config.fault_process.partition_hold_mean = 150;
+    config.fault_process.start = 400;
+    config.fault_process.end = 2900;
+    Run r;
+    r.h = std::make_unique<core::SystemHarness>(config);
+    r.h->fault_load().record_schedule(true);
+    r.h->start();
+    r.h->run_for(2900);
+    r.h->drain(2000);
+    r.timeline = r.h->timeline().to_json().dump();
+    r.report = r.h->stabilization_report();
+    r.stats = r.h->stats();
+    return r;
+  };
+  const Run full = run(1u << 20);
+  const Run tiny = run(8);
+  const Run none = run(0);
+  ASSERT_EQ(tiny.h->events().size(), 8u);  // only the tail is retained...
+  EXPECT_GT(tiny.h->events().total_recorded(), 1000u);  // ...of a long run
+  EXPECT_EQ(none.h->events().size(), 0u);
 
-  const obs::StabilizationTimeline live = h.timeline();
-  const obs::StabilizationTimeline from_bus = obs::timeline_from_bus(h.events());
+  // The run exercises what the store must hold: injector and lifecycle
+  // faults, and violations.
+  const core::RunStats& s = full.stats;
+  ASSERT_GT(s.crashes, 0u);
+  ASSERT_GT(s.partitions, 0u);
+  ASSERT_GT(s.me1_violations + s.invariant_violations, 0u);
 
-  EXPECT_EQ(from_bus.run_end, live.run_end);
-  EXPECT_EQ(from_bus.faults_injected, live.faults_injected);
-  EXPECT_EQ(from_bus.first_fault, live.first_fault);
-  EXPECT_EQ(from_bus.last_fault, live.last_fault);
-  EXPECT_EQ(from_bus.violations_total, live.violations_total);
-  EXPECT_EQ(from_bus.first_violation, live.first_violation);
-  EXPECT_EQ(from_bus.last_violation, live.last_violation);
-  EXPECT_EQ(from_bus.last_activity, live.last_activity);
-  EXPECT_EQ(from_bus.divergent_window(), live.divergent_window());
+  for (const Run* r : {&tiny, &none}) {
+    EXPECT_EQ(r->timeline, full.timeline);
+    EXPECT_EQ(r->report.last_fault, full.report.last_fault);
+    EXPECT_EQ(r->report.faults_injected, full.report.faults_injected);
+    EXPECT_EQ(r->report.last_safety_violation,
+              full.report.last_safety_violation);
+    EXPECT_EQ(r->report.violations_total, full.report.violations_total);
+    EXPECT_EQ(r->report.latency, full.report.latency);
+    EXPECT_EQ(r->report.stabilized, full.report.stabilized);
+    EXPECT_EQ(r->stats.faults_injected, s.faults_injected);
+    EXPECT_EQ(r->stats.crashes, s.crashes);
+    EXPECT_EQ(r->stats.recoveries, s.recoveries);
+    EXPECT_EQ(r->stats.partitions, s.partitions);
+    EXPECT_EQ(r->stats.partition_heals, s.partition_heals);
+    EXPECT_EQ(r->stats.me1_violations, s.me1_violations);
+    EXPECT_EQ(r->stats.me3_violations, s.me3_violations);
+    EXPECT_EQ(r->stats.invariant_violations, s.invariant_violations);
+    EXPECT_EQ(r->stats.mutual_belief_violations, s.mutual_belief_violations);
+    EXPECT_EQ(r->stats.lspec_clause_violations, s.lspec_clause_violations);
+    EXPECT_EQ(r->stats.reconverge_windows, s.reconverge_windows);
+    EXPECT_EQ(r->stats.reconverge_ticks_total, s.reconverge_ticks_total);
+    EXPECT_EQ(obs::metrics_snapshot_to_json(r->stats.metrics).dump(),
+              obs::metrics_snapshot_to_json(s.metrics).dump());
+  }
 
-  // Same per-clause decay, by name and by numbers.
-  ASSERT_EQ(from_bus.clauses.size(), live.clauses.size());
-  for (std::size_t i = 0; i < live.clauses.size(); ++i) {
-    EXPECT_EQ(from_bus.clauses[i].name, live.clauses[i].name) << i;
-    EXPECT_EQ(from_bus.clauses[i].count, live.clauses[i].count) << i;
-    EXPECT_EQ(from_bus.clauses[i].first, live.clauses[i].first) << i;
-    EXPECT_EQ(from_bus.clauses[i].last, live.clauses[i].last) << i;
+  // And the store agrees with the components' own bookkeeping, at
+  // capacity 0: the injector's and fault load's counts and last arrival,
+  // and every monitor's count/first/last.
+  core::SystemHarness& h = *none.h;
+  const net::FaultProcess& load = h.fault_load();
+  EXPECT_EQ(none.stats.faults_injected,
+            h.faults().total_injected() + load.crashes() + load.recoveries() +
+                load.partitions() + load.heals());
+  EXPECT_EQ(none.stats.crashes, load.crashes());
+  EXPECT_EQ(none.stats.partition_heals, load.heals());
+  SimTime last_fault = h.faults().last_fault_time();
+  for (const net::FaultArrival& a : load.schedule())
+    if (last_fault == kNever || a.time > last_fault) last_fault = a.time;
+  EXPECT_EQ(none.report.last_fault, last_fault);
+  const obs::StabilizationTimeline tl = h.timeline();
+  EXPECT_EQ(tl.violations_total, h.monitors().total_violations());
+  ASSERT_EQ(tl.clauses.size(), h.monitors().monitors().size());
+  for (std::size_t i = 0; i < tl.clauses.size(); ++i) {
+    const auto& m = h.monitors().monitors()[i];
+    EXPECT_EQ(tl.clauses[i].name, m->name()) << i;
+    EXPECT_EQ(tl.clauses[i].count, m->total_violations()) << i;
+    EXPECT_EQ(tl.clauses[i].first, m->first_violation()) << i;
+    EXPECT_EQ(tl.clauses[i].last, m->last_violation()) << i;
   }
 }
 
-TEST(HarnessTimeline, BusAggregatesSurviveRingEviction) {
-  // A pathologically tiny ring under sustained fault load: nearly every
-  // event is evicted, but the bus's first/last aggregates are exact, so
-  // the bus-derived timeline still equals the live-harness derivation.
-  core::HarnessConfig config = obs_config(21);
-  config.trace_capacity = 8;
-  config.fault_process.drop_mean = 150;
-  config.fault_process.corrupt_mean = 150;
-  config.fault_process.process_corrupt_mean = 300;
-  config.fault_process.start = 400;
-  config.fault_process.end = 2900;
-  core::SystemHarness h(config);
-  h.start();
-  h.run_for(2900);
-  h.drain(2000);
-
-  ASSERT_EQ(h.events().size(), 8u);  // only the tail is retained...
-  EXPECT_GT(h.events().total_recorded(), 1000u);  // ...of a long run
-
-  const obs::StabilizationTimeline live = h.timeline();
-  const obs::StabilizationTimeline from_bus =
-      obs::timeline_from_bus(h.events());
-  EXPECT_EQ(from_bus.run_end, live.run_end);
-  EXPECT_EQ(from_bus.faults_injected, live.faults_injected);
-  EXPECT_EQ(from_bus.first_fault, live.first_fault);
-  EXPECT_EQ(from_bus.last_fault, live.last_fault);
-  EXPECT_EQ(from_bus.violations_total, live.violations_total);
-  EXPECT_EQ(from_bus.first_violation, live.first_violation);
-  EXPECT_EQ(from_bus.last_violation, live.last_violation);
-  EXPECT_EQ(from_bus.last_activity, live.last_activity);
-  EXPECT_EQ(from_bus.divergent_window(), live.divergent_window());
-  ASSERT_EQ(from_bus.clauses.size(), live.clauses.size());
-  for (std::size_t i = 0; i < live.clauses.size(); ++i) {
-    EXPECT_EQ(from_bus.clauses[i].name, live.clauses[i].name) << i;
-    EXPECT_EQ(from_bus.clauses[i].count, live.clauses[i].count) << i;
-    EXPECT_EQ(from_bus.clauses[i].first, live.clauses[i].first) << i;
-    EXPECT_EQ(from_bus.clauses[i].last, live.clauses[i].last) << i;
-  }
-  ASSERT_EQ(from_bus.faults.size(), live.faults.size());
-  for (std::size_t i = 0; i < live.faults.size(); ++i) {
-    EXPECT_EQ(from_bus.faults[i].name, live.faults[i].name) << i;
-    EXPECT_EQ(from_bus.faults[i].count, live.faults[i].count) << i;
-    EXPECT_EQ(from_bus.faults[i].first, live.faults[i].first) << i;
-    EXPECT_EQ(from_bus.faults[i].last, live.faults[i].last) << i;
-  }
-}
-
-TEST(HarnessTrace, LazyViewPreservesLegacyFormat) {
+TEST(HarnessTrace, DumpPreservesLegacyFormat) {
   core::HarnessConfig config = obs_config(5);
   config.trace_capacity = 2048;
   core::SystemHarness h(config);
   h.start();
   h.run_for(500);
 
-  const sim::Trace& trace = h.trace();
-  ASSERT_GT(trace.size(), 0u);
-  EXPECT_LE(trace.size(), 2048u);
+  const obs::EventBus& bus = h.events();
+  ASSERT_GT(bus.size(), 0u);
+  EXPECT_LE(bus.size(), 2048u);
   bool saw_send = false, saw_recv = false, saw_transition = false;
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    const std::string& text = trace.at(i).text;
+  for (std::size_t i = 0; i < bus.size(); ++i) {
+    const std::string text = bus.render(bus.event(i));
     saw_send = saw_send || text.rfind("send ", 0) == 0;
     saw_recv = saw_recv || text.rfind("recv ", 0) == 0;
     saw_transition = saw_transition || text.rfind("proc ", 0) == 0;
@@ -567,18 +749,16 @@ TEST(HarnessTrace, LazyViewPreservesLegacyFormat) {
   EXPECT_TRUE(saw_recv);
   EXPECT_TRUE(saw_transition);
 
-  // The view tracks the bus: more simulation, more (or newer) records.
-  const std::uint64_t before = h.events().total_recorded();
-  h.run_for(500);
-  EXPECT_GT(h.events().total_recorded(), before);
-  // The re-rendered view covers exactly the retained ring.
-  EXPECT_EQ(h.trace().total_recorded(), h.events().size());
-  EXPECT_EQ(h.trace().size(), h.events().size());
-
-  // dump() keeps the legacy "[time] text" shape.
+  // dump() prints the last n retained events as "[time] text" lines.
   std::ostringstream os;
-  h.trace().dump(os, 5);
-  EXPECT_EQ(os.str().front(), '[');
+  bus.dump(os, 5);
+  const std::string text = os.str();
+  EXPECT_EQ(text.front(), '[');
+  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 5);
+  const obs::Event& last = bus.event(bus.size() - 1);
+  const std::string last_line =
+      "[" + std::to_string(last.time) + "] " + bus.render(last) + "\n";
+  EXPECT_EQ(text.substr(text.size() - last_line.size()), last_line);
 }
 
 TEST(HarnessTrace, DisabledByDefault) {
@@ -586,8 +766,13 @@ TEST(HarnessTrace, DisabledByDefault) {
   h.start();
   h.run_for(300);
   EXPECT_FALSE(h.events().enabled());
+  EXPECT_EQ(h.events().size(), 0u);
   EXPECT_EQ(h.events().total_recorded(), 0u);
-  EXPECT_TRUE(h.trace().empty());
+  std::ostringstream os;
+  h.events().dump(os);
+  EXPECT_EQ(os.str(), "");
+  // The aggregates still saw the run.
+  EXPECT_GT(h.events().kind_stats(obs::EventKind::kSend).count, 0u);
   EXPECT_TRUE(h.stats().metrics.empty());
 }
 

@@ -3,6 +3,7 @@
 // fault pressure once it stops, and structural properties of the traffic.
 #include <gtest/gtest.h>
 
+#include "algorithm_param.hpp"
 #include "core/engine.hpp"
 #include "core/experiment.hpp"
 #include "core/harness.hpp"
@@ -14,7 +15,7 @@ namespace {
 
 struct GridParam {
   std::size_t n;
-  Algorithm algorithm;
+  AlgoParam algorithm;
   SimTime delay_min;
   SimTime delay_max;
 };
@@ -25,7 +26,7 @@ TEST_P(FaultFreeGrid, TmeSpecHolds) {
   const GridParam param = GetParam();
   HarnessConfig config;
   config.n = param.n;
-  config.algorithm = param.algorithm;
+  config.algorithm = registry_name(param.algorithm);
   config.wrapped = true;
   config.wrapper.resend_period = 25;
   config.delay = net::DelayModel::uniform(param.delay_min, param.delay_max);
@@ -50,8 +51,8 @@ TEST_P(FaultFreeGrid, TmeSpecHolds) {
 std::vector<GridParam> grid() {
   std::vector<GridParam> params;
   for (const std::size_t n : {2u, 3u, 6u, 9u}) {
-    for (const Algorithm algo :
-         {Algorithm::kRicartAgrawala, Algorithm::kLamport}) {
+    for (const AlgoParam algo :
+         {AlgoParam::kRicartAgrawala, AlgoParam::kLamport}) {
       params.push_back(GridParam{n, algo, 1, 1});    // fixed fast
       params.push_back(GridParam{n, algo, 1, 30});   // widely variable
     }
@@ -63,7 +64,7 @@ INSTANTIATE_TEST_SUITE_P(Grid, FaultFreeGrid, ::testing::ValuesIn(grid()),
                          [](const auto& info) {
                            const GridParam& p = info.param;
                            std::string name = "n" + std::to_string(p.n);
-                           name += p.algorithm == Algorithm::kRicartAgrawala
+                           name += p.algorithm == AlgoParam::kRicartAgrawala
                                        ? "_ra"
                                        : "_lamport";
                            name += "_d" + std::to_string(p.delay_max);
@@ -78,7 +79,7 @@ TEST(ContinuousPressure, CleanSuffixAfterFaultsStop) {
   // call only touches its own harness).
   HarnessConfig config;
   config.n = 4;
-  config.algorithm = Algorithm::kRicartAgrawala;
+  config.algorithm = "ricart-agrawala";
   config.wrapped = true;
   config.wrapper.resend_period = 20;
   config.client.think_mean = 35;
@@ -114,7 +115,7 @@ TEST(TrafficShape, RicartAgrawalaMessageComplexity) {
   // optimality claim), since every request triggers one reply.
   HarnessConfig config;
   config.n = 5;
-  config.algorithm = Algorithm::kRicartAgrawala;
+  config.algorithm = "ricart-agrawala";
   config.wrapped = false;  // isolate protocol traffic
   config.client.think_mean = 60;
   config.client.eat_mean = 5;
@@ -133,7 +134,7 @@ TEST(TrafficShape, LamportMessageComplexity) {
   // Fault-free Lamport: 3(n-1) per entry (request + reply + release).
   HarnessConfig config;
   config.n = 5;
-  config.algorithm = Algorithm::kLamport;
+  config.algorithm = "lamport";
   config.wrapped = false;
   config.client.think_mean = 60;
   config.client.eat_mean = 5;
@@ -155,7 +156,7 @@ TEST(TrafficShape, WrapperSilentInFaultFreeRuns) {
   // still catching up — with delta larger than the longest wait, nothing.
   HarnessConfig config;
   config.n = 4;
-  config.algorithm = Algorithm::kRicartAgrawala;
+  config.algorithm = "ricart-agrawala";
   config.wrapped = true;
   config.wrapper.resend_period = 100000;  // effectively never fires mid-wait
   config.client.think_mean = 50;
@@ -170,7 +171,7 @@ TEST(TrafficShape, WrapperSilentInFaultFreeRuns) {
 TEST(TrafficShape, DrainedSystemGoesQuiet) {
   HarnessConfig config;
   config.n = 4;
-  config.algorithm = Algorithm::kLamport;
+  config.algorithm = "lamport";
   config.wrapped = true;
   config.client.think_mean = 30;
   config.client.eat_mean = 5;
@@ -189,7 +190,7 @@ TEST(Determinism, FaultyRunsReplayExactly) {
   auto run = [] {
     HarnessConfig config;
     config.n = 4;
-    config.algorithm = Algorithm::kLamport;
+    config.algorithm = "lamport";
     config.wrapped = true;
     config.seed = 555;
     SystemHarness h(config);

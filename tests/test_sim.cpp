@@ -1,4 +1,4 @@
-// Unit tests for the discrete-event scheduler, periodic timers, and trace.
+// Unit tests for the discrete-event scheduler and periodic timers.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -6,7 +6,6 @@
 
 #include "sim/scheduler.hpp"
 #include "sim/timer.hpp"
-#include "sim/trace.hpp"
 
 namespace graybox::sim {
 namespace {
@@ -379,100 +378,6 @@ TEST(PeriodicTimer, DestructorCancelsPendingTick) {
   }
   sched.run_until(100);
   EXPECT_EQ(fires, 0);
-}
-
-// --- Trace ---------------------------------------------------------------
-
-TEST(Trace, RecordsInOrder) {
-  Trace trace;
-  trace.record(1, "a");
-  trace.record(2, "b");
-  ASSERT_EQ(trace.size(), 2u);
-  EXPECT_EQ(trace.at(0).text, "a");
-  EXPECT_EQ(trace.at(1).time, 2u);
-}
-
-TEST(Trace, EvictsOldestBeyondCapacity) {
-  Trace trace(3);
-  for (int i = 0; i < 10; ++i) trace.record(i, std::to_string(i));
-  ASSERT_EQ(trace.size(), 3u);
-  EXPECT_EQ(trace.at(0).text, "7");
-  EXPECT_EQ(trace.at(1).text, "8");
-  EXPECT_EQ(trace.at(2).text, "9");
-  EXPECT_EQ(trace.total_recorded(), 10u);
-}
-
-TEST(Trace, ZeroCapacityDropsEverything) {
-  Trace trace(0);
-  trace.record(1, "x");
-  EXPECT_TRUE(trace.empty());
-  EXPECT_EQ(trace.total_recorded(), 0u);
-}
-
-TEST(Trace, DumpFormatsTail) {
-  Trace trace;
-  trace.record(5, "hello");
-  std::ostringstream oss;
-  trace.dump(oss);
-  EXPECT_EQ(oss.str(), "[5] hello\n");
-}
-
-TEST(Trace, DumpLastNTruncatesToTail) {
-  Trace trace;
-  for (int i = 0; i < 5; ++i) trace.record(i, "r" + std::to_string(i));
-  std::ostringstream oss;
-  trace.dump(oss, 2);
-  EXPECT_EQ(oss.str(), "[3] r3\n[4] r4\n");
-}
-
-TEST(Trace, DumpZeroPrintsNothing) {
-  Trace trace;
-  trace.record(1, "x");
-  std::ostringstream oss;
-  trace.dump(oss, 0);
-  EXPECT_EQ(oss.str(), "");
-}
-
-TEST(Trace, DumpMoreThanSizePrintsEverything) {
-  Trace trace(4);
-  for (int i = 0; i < 3; ++i) trace.record(i, std::to_string(i));
-  std::ostringstream oss;
-  trace.dump(oss, 100);
-  EXPECT_EQ(oss.str(), "[0] 0\n[1] 1\n[2] 2\n");
-}
-
-TEST(Trace, DumpAfterEvictionStartsAtOldestRetained) {
-  Trace trace(2);
-  for (int i = 0; i < 5; ++i) trace.record(i, std::to_string(i));
-  std::ostringstream oss;
-  trace.dump(oss);
-  EXPECT_EQ(oss.str(), "[3] 3\n[4] 4\n");
-}
-
-TEST(Trace, TotalRecordedCountsEvicted) {
-  Trace trace(2);
-  EXPECT_EQ(trace.capacity(), 2u);
-  for (int i = 0; i < 7; ++i) trace.record(i, "x");
-  EXPECT_EQ(trace.size(), 2u);
-  EXPECT_EQ(trace.total_recorded(), 7u);
-}
-
-TEST(Trace, ClearResets) {
-  Trace trace;
-  trace.record(1, "x");
-  trace.clear();
-  EXPECT_TRUE(trace.empty());
-  EXPECT_EQ(trace.total_recorded(), 0u);
-}
-
-TEST(Trace, RecordAfterClearStartsFresh) {
-  Trace trace(3);
-  for (int i = 0; i < 5; ++i) trace.record(i, std::to_string(i));
-  trace.clear();
-  trace.record(9, "fresh");
-  ASSERT_EQ(trace.size(), 1u);
-  EXPECT_EQ(trace.at(0).time, 9u);
-  EXPECT_EQ(trace.at(0).text, "fresh");
 }
 
 }  // namespace

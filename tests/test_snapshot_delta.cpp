@@ -17,6 +17,7 @@
 #include <tuple>
 #include <vector>
 
+#include "algorithm_param.hpp"
 #include "core/harness.hpp"
 #include "core/stabilization.hpp"
 #include "net/fault_injector.hpp"
@@ -38,7 +39,7 @@ struct ObservedRun {
   StabilizationReport report;
 };
 
-ObservedRun run_once(Algorithm algo, net::FaultMix mix, std::size_t burst,
+ObservedRun run_once(std::string algo, net::FaultMix mix, std::size_t burst,
                      std::uint64_t seed, bool reference_pipeline) {
   HarnessConfig config;
   config.n = 4;
@@ -122,20 +123,20 @@ void expect_equivalent(const ObservedRun& delta, const ObservedRun& full) {
 
 class DeltaVsFullByFaultKind
     : public ::testing::TestWithParam<
-          std::tuple<Algorithm, net::FaultKind, std::uint64_t>> {};
+          std::tuple<AlgoParam, net::FaultKind, std::uint64_t>> {};
 
 TEST_P(DeltaVsFullByFaultKind, IdenticalVerdicts) {
   const auto [algo, kind, seed] = GetParam();
   const auto mix = net::FaultMix::only(kind);
-  const auto delta = run_once(algo, mix, 6, seed, false);
-  const auto full = run_once(algo, mix, 6, seed, true);
+  const auto delta = run_once(registry_name(algo), mix, 6, seed, false);
+  const auto full = run_once(registry_name(algo), mix, 6, seed, true);
   expect_equivalent(delta, full);
 }
 
 std::string matrix_name(
     const ::testing::TestParamInfo<
-        std::tuple<Algorithm, net::FaultKind, std::uint64_t>>& info) {
-  std::string name = to_string(std::get<0>(info.param));
+        std::tuple<AlgoParam, net::FaultKind, std::uint64_t>>& info) {
+  std::string name = registry_name(std::get<0>(info.param));
   name += "_";
   name += net::to_string(std::get<1>(info.param));
   name += "_s" + std::to_string(std::get<2>(info.param));
@@ -148,7 +149,7 @@ std::string matrix_name(
 INSTANTIATE_TEST_SUITE_P(
     Matrix, DeltaVsFullByFaultKind,
     ::testing::Combine(
-        ::testing::Values(Algorithm::kRicartAgrawala, Algorithm::kLamport),
+        ::testing::Values(AlgoParam::kRicartAgrawala, AlgoParam::kLamport),
         ::testing::Values(net::FaultKind::kMessageDrop,
                           net::FaultKind::kMessageDuplicate,
                           net::FaultKind::kMessageCorrupt,
@@ -163,25 +164,25 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(DeltaVsFull, MixedBurstRicartAgrawala) {
   const auto delta =
-      run_once(Algorithm::kRicartAgrawala, net::FaultMix::all(), 15, 3, false);
+      run_once("ricart-agrawala", net::FaultMix::all(), 15, 3, false);
   const auto full =
-      run_once(Algorithm::kRicartAgrawala, net::FaultMix::all(), 15, 3, true);
+      run_once("ricart-agrawala", net::FaultMix::all(), 15, 3, true);
   expect_equivalent(delta, full);
 }
 
 TEST(DeltaVsFull, MixedBurstLamport) {
   const auto delta =
-      run_once(Algorithm::kLamport, net::FaultMix::all(), 15, 4, false);
+      run_once("lamport", net::FaultMix::all(), 15, 4, false);
   const auto full =
-      run_once(Algorithm::kLamport, net::FaultMix::all(), 15, 4, true);
+      run_once("lamport", net::FaultMix::all(), 15, 4, true);
   expect_equivalent(delta, full);
 }
 
 TEST(DeltaVsFull, FaultFreeRunsAreCleanOnBothPaths) {
   const auto delta =
-      run_once(Algorithm::kRicartAgrawala, net::FaultMix::all(), 0, 5, false);
+      run_once("ricart-agrawala", net::FaultMix::all(), 0, 5, false);
   const auto full =
-      run_once(Algorithm::kRicartAgrawala, net::FaultMix::all(), 0, 5, true);
+      run_once("ricart-agrawala", net::FaultMix::all(), 0, 5, true);
   expect_equivalent(delta, full);
   for (const auto total : delta.totals) EXPECT_EQ(total, 0u);
 }
@@ -190,9 +191,9 @@ TEST(DeltaVsFull, FaultFreeRunsAreCleanOnBothPaths) {
 // injected fault, exercising the monitors' steady-state reporting paths.
 TEST(DeltaVsFull, FragileImplementationMatchesEvenWhenUnstable) {
   const auto delta =
-      run_once(Algorithm::kFragile, net::FaultMix::all(), 10, 6, false);
+      run_once("fragile-ra", net::FaultMix::all(), 10, 6, false);
   const auto full =
-      run_once(Algorithm::kFragile, net::FaultMix::all(), 10, 6, true);
+      run_once("fragile-ra", net::FaultMix::all(), 10, 6, true);
   expect_equivalent(delta, full);
 }
 

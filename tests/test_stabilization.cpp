@@ -4,6 +4,7 @@
 // and seeds.
 #include <gtest/gtest.h>
 
+#include "algorithm_param.hpp"
 #include "core/experiment.hpp"
 #include "core/harness.hpp"
 #include "core/stabilization.hpp"
@@ -11,7 +12,7 @@
 namespace graybox::core {
 namespace {
 
-HarnessConfig wrapped_config(Algorithm algo, std::uint64_t seed) {
+HarnessConfig wrapped_config(std::string algo, std::uint64_t seed) {
   HarnessConfig config;
   config.n = 4;
   config.algorithm = algo;
@@ -38,15 +39,16 @@ FaultScenario burst_scenario(std::size_t burst, net::FaultMix mix) {
 
 class FaultKindRecovery
     : public ::testing::TestWithParam<
-          std::tuple<Algorithm, net::FaultKind, std::uint64_t>> {};
+          std::tuple<AlgoParam, net::FaultKind, std::uint64_t>> {};
 
 TEST_P(FaultKindRecovery, WrappedSystemStabilizes) {
-  const auto [algo, kind, seed] = GetParam();
+  const auto [param, kind, seed] = GetParam();
+  const std::string algo = registry_name(param);
   const auto result =
       run_fault_experiment(wrapped_config(algo, seed),
                            burst_scenario(6, net::FaultMix::only(kind)));
   EXPECT_TRUE(result.report.stabilized)
-      << "algo=" << to_string(algo) << " kind=" << net::to_string(kind)
+      << "algo=" << algo << " kind=" << net::to_string(kind)
       << " seed=" << seed << " -> " << result.report.to_string();
   // Post-fault progress actually happened.
   EXPECT_GT(result.stats.cs_entries, 0u);
@@ -54,8 +56,8 @@ TEST_P(FaultKindRecovery, WrappedSystemStabilizes) {
 
 std::string fault_kind_name(
     const ::testing::TestParamInfo<
-        std::tuple<Algorithm, net::FaultKind, std::uint64_t>>& info) {
-  std::string name = to_string(std::get<0>(info.param));
+        std::tuple<AlgoParam, net::FaultKind, std::uint64_t>>& info) {
+  std::string name = registry_name(std::get<0>(info.param));
   name += "_";
   name += net::to_string(std::get<1>(info.param));
   name += "_s" + std::to_string(std::get<2>(info.param));
@@ -68,7 +70,7 @@ std::string fault_kind_name(
 INSTANTIATE_TEST_SUITE_P(
     Matrix, FaultKindRecovery,
     ::testing::Combine(
-        ::testing::Values(Algorithm::kRicartAgrawala, Algorithm::kLamport),
+        ::testing::Values(AlgoParam::kRicartAgrawala, AlgoParam::kLamport),
         ::testing::Values(net::FaultKind::kMessageDrop,
                           net::FaultKind::kMessageDuplicate,
                           net::FaultKind::kMessageCorrupt,
@@ -82,20 +84,20 @@ INSTANTIATE_TEST_SUITE_P(
 // --- Mixed bursts of increasing size -----------------------------------------
 
 class MixedBurstRecovery
-    : public ::testing::TestWithParam<std::tuple<Algorithm, std::size_t>> {};
+    : public ::testing::TestWithParam<std::tuple<AlgoParam, std::size_t>> {};
 
 TEST_P(MixedBurstRecovery, WrappedSystemStabilizes) {
   const auto [algo, burst] = GetParam();
   const auto result = run_fault_experiment(
-      wrapped_config(algo, 5 + burst),
+      wrapped_config(registry_name(algo), 5 + burst),
       burst_scenario(burst, net::FaultMix::all()));
   EXPECT_TRUE(result.report.stabilized)
       << "burst=" << burst << " -> " << result.report.to_string();
 }
 
 std::string burst_name(
-    const ::testing::TestParamInfo<std::tuple<Algorithm, std::size_t>>& info) {
-  std::string name = to_string(std::get<0>(info.param));
+    const ::testing::TestParamInfo<std::tuple<AlgoParam, std::size_t>>& info) {
+  std::string name = registry_name(std::get<0>(info.param));
   name += "_burst" + std::to_string(std::get<1>(info.param));
   for (auto& c : name) {
     if (c == '-') c = '_';
@@ -106,7 +108,7 @@ std::string burst_name(
 INSTANTIATE_TEST_SUITE_P(
     Bursts, MixedBurstRecovery,
     ::testing::Combine(
-        ::testing::Values(Algorithm::kRicartAgrawala, Algorithm::kLamport),
+        ::testing::Values(AlgoParam::kRicartAgrawala, AlgoParam::kLamport),
         ::testing::Values(std::size_t{1}, std::size_t{5}, std::size_t{15},
                           std::size_t{40})),
     burst_name);
@@ -117,7 +119,7 @@ class SeedSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SeedSweep, RicartAgrawalaStabilizes) {
   const auto result =
-      run_fault_experiment(wrapped_config(Algorithm::kRicartAgrawala,
+      run_fault_experiment(wrapped_config("ricart-agrawala",
                                           GetParam()),
                            burst_scenario(12, net::FaultMix::all()));
   EXPECT_TRUE(result.report.stabilized) << result.report.to_string();
@@ -125,7 +127,7 @@ TEST_P(SeedSweep, RicartAgrawalaStabilizes) {
 
 TEST_P(SeedSweep, LamportStabilizes) {
   const auto result = run_fault_experiment(
-      wrapped_config(Algorithm::kLamport, GetParam()),
+      wrapped_config("lamport", GetParam()),
       burst_scenario(12, net::FaultMix::all()));
   EXPECT_TRUE(result.report.stabilized) << result.report.to_string();
 }
@@ -144,7 +146,7 @@ TEST(BareSystem, CanFailToRecoverFromChannelClears) {
   // (Section 4). Bare systems may survive some bursts by luck; this test
   // pins a scripted loss pattern where they provably cannot: all requests
   // of two concurrent competitors are cleared.
-  HarnessConfig config = wrapped_config(Algorithm::kRicartAgrawala, 3);
+  HarnessConfig config = wrapped_config("ricart-agrawala", 3);
   config.wrapped = false;
   config.client.wants_cs = false;  // scripted requests only
 
@@ -167,7 +169,7 @@ TEST(BareSystem, CanFailToRecoverFromChannelClears) {
 }
 
 TEST(WrappedSystem, RecoversFromTheSameScriptedLoss) {
-  HarnessConfig config = wrapped_config(Algorithm::kRicartAgrawala, 3);
+  HarnessConfig config = wrapped_config("ricart-agrawala", 3);
   config.client.wants_cs = false;
 
   FaultScenario scenario;
@@ -192,7 +194,7 @@ TEST(WrappedSystem, RecoversFromTheSameScriptedLoss) {
 
 TEST(StabilizationLatency, BoundedByScenarioWindow) {
   const auto result = run_fault_experiment(
-      wrapped_config(Algorithm::kRicartAgrawala, 77),
+      wrapped_config("ricart-agrawala", 77),
       burst_scenario(10, net::FaultMix::all()));
   ASSERT_TRUE(result.report.stabilized);
   // The latency is measured from the last fault and must fit well inside
@@ -202,13 +204,13 @@ TEST(StabilizationLatency, BoundedByScenarioWindow) {
 
 // --- Soak: sustained adversarial pressure at scale ------------------------------
 
-class SoakTest : public ::testing::TestWithParam<Algorithm> {};
+class SoakTest : public ::testing::TestWithParam<AlgoParam> {};
 
 TEST_P(SoakTest, SurvivesLongContinuousPressureThenStabilizes) {
   // 400 random faults of every kind over 20,000 ticks against a 6-process
   // wrapped system, then calm: the entire point of stabilization is that
   // the amount of prior damage is irrelevant once faults stop.
-  HarnessConfig config = wrapped_config(GetParam(), 4242);
+  HarnessConfig config = wrapped_config(registry_name(GetParam()), 4242);
   config.n = 6;
   SystemHarness h(config);
   h.start();
@@ -228,10 +230,10 @@ TEST_P(SoakTest, SurvivesLongContinuousPressureThenStabilizes) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Algorithms, SoakTest,
-                         ::testing::Values(Algorithm::kRicartAgrawala,
-                                           Algorithm::kLamport),
+                         ::testing::Values(AlgoParam::kRicartAgrawala,
+                                           AlgoParam::kLamport),
                          [](const auto& info) {
-                           return info.param == Algorithm::kRicartAgrawala
+                           return info.param == AlgoParam::kRicartAgrawala
                                       ? "ra"
                                       : "lamport";
                          });
@@ -239,7 +241,7 @@ INSTANTIATE_TEST_SUITE_P(Algorithms, SoakTest,
 TEST(StabilizationLatency, ZeroWhenBurstCausesNoViolation) {
   // A single dropped message can be fully absorbed (e.g. a stale reply):
   // then the report shows no post-fault violations.
-  HarnessConfig config = wrapped_config(Algorithm::kRicartAgrawala, 200);
+  HarnessConfig config = wrapped_config("ricart-agrawala", 200);
   config.client.think_mean = 1000;  // rare competition
   FaultScenario scenario = burst_scenario(1, net::FaultMix::only(
                                                  net::FaultKind::kMessageDrop));
