@@ -15,45 +15,13 @@ void Accumulator::add(double x) {
     if (x < min_) min_ = x;
     if (x > max_) max_ = x;
   }
-  if (samples_.size() < sample_cap_) samples_.push_back(x);
+  samples_.push_back(x);
   ++count_;
   sum_ += x;
   const double n = static_cast<double>(count_);
   const double delta = x - mean_;
   mean_ += delta / n;
   m2_ += delta * (x - mean_);
-}
-
-void Accumulator::merge(const Accumulator& other) {
-  if (other.count_ == 0) return;
-  if (other.retains_all_samples()) {
-    // Replay: the merged state is bitwise what a single serial accumulation
-    // over (this samples, then other samples) would have produced.
-    for (const double x : other.samples_) add(x);
-    return;
-  }
-  // Capped source: moments via Chan et al.'s parallel update (exact in
-  // count/sum/min/max, numerically stable in mean/m2); percentile samples
-  // are whatever both sides retained, up to this side's cap.
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-  const double na = static_cast<double>(count_);
-  const double nb = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double n = na + nb;
-  mean_ += delta * (nb / n);
-  m2_ += other.m2_ + delta * delta * (na * nb / n);
-  sum_ += other.sum_;
-  count_ += other.count_;
-  for (const double x : other.samples_) {
-    if (samples_.size() >= sample_cap_) break;
-    samples_.push_back(x);
-  }
 }
 
 double Accumulator::mean() const { return count_ == 0 ? 0.0 : mean_; }

@@ -21,15 +21,6 @@ ExperimentResult run_fault_experiment(const HarnessConfig& config,
   return ExperimentResult{harness.stabilization_report(), harness.stats()};
 }
 
-RepeatedResult::RepeatedResult(std::size_t sample_cap) {
-  if (sample_cap == 0) return;
-  for (Accumulator* acc :
-       {&latency, &total_messages, &wrapper_messages, &protocol_messages,
-        &violations, &safety_violations, &cs_entries, &max_wait, &events}) {
-    *acc = Accumulator(sample_cap);
-  }
-}
-
 void RepeatedResult::add(const ExperimentResult& result) {
   ++trials;
   if (result.report.stabilized) {
@@ -65,26 +56,6 @@ void RepeatedResult::add(const ExperimentResult& result) {
           : 0.0);
   observe_ns_total += static_cast<double>(result.stats.observe_ns);
   if (!result.stats.metrics.empty()) metrics.add(result.stats.metrics);
-}
-
-void RepeatedResult::merge(const RepeatedResult& other) {
-  trials += other.trials;
-  stabilized += other.stabilized;
-  starved += other.starved;
-  latency.merge(other.latency);
-  total_messages.merge(other.total_messages);
-  wrapper_messages.merge(other.wrapper_messages);
-  protocol_messages.merge(other.protocol_messages);
-  violations.merge(other.violations);
-  safety_violations.merge(other.safety_violations);
-  cs_entries.merge(other.cs_entries);
-  max_wait.merge(other.max_wait);
-  events.merge(other.events);
-  faults.merge(other.faults);
-  availability.merge(other.availability);
-  reconverge.merge(other.reconverge);
-  observe_ns_total += other.observe_ns_total;
-  metrics.merge(other.metrics);
 }
 
 RepeatedResult repeat_fault_experiment(HarnessConfig config,

@@ -32,6 +32,14 @@ std::vector<std::string> options_for(const HarnessConfig& config,
 
 }  // namespace
 
+struct SystemHarness::MetricHistograms {
+  obs::Histogram cs_wait{obs::Histogram::pow2_bounds(20)};
+  obs::Histogram queue_depth{obs::Histogram::pow2_bounds(10)};
+  obs::Histogram in_flight{obs::Histogram::pow2_bounds(12)};
+  obs::Histogram reconverge{obs::Histogram::pow2_bounds(20)};
+  std::vector<SimTime> hungry_since;  ///< per-pid CS wait start
+};
+
 std::string algorithm_spec(const HarnessConfig& config) {
   std::vector<std::string> specs;
   specs.reserve(config.n);
@@ -236,58 +244,26 @@ SystemHarness::SystemHarness(HarnessConfig config)
     bus_->record(e);
   });
 
-  // Metrics instrumentation: push histograms fed by passive observers, and
-  // pull counters registered up front (fixed order) but refreshed from the
-  // component counters inside stats(). Everything is sim-domain valued, so
-  // the snapshot is a pure function of the seed.
+  // Metrics instrumentation: the push histograms, fed by passive
+  // observers. Everything is sim-domain valued, so the snapshot stats()
+  // builds is a pure function of the seed.
   if (config_.collect_metrics) {
-    hungry_since_.assign(config_.n, kNever);
-    obs::Histogram& cs_wait =
-        metrics_.histogram("cs_wait_ticks", obs::Histogram::pow2_bounds(20));
-    obs::Histogram& queue_depth = metrics_.histogram(
-        "channel_queue_depth", obs::Histogram::pow2_bounds(10));
-    obs::Histogram& in_flight =
-        metrics_.histogram("net_in_flight", obs::Histogram::pow2_bounds(12));
-    metrics_.counter("wrapper_resends");
-    metrics_.counter("level1_corrections");
-    for (std::size_t k = 0; k < net::kFaultCodeCount; ++k) {
-      metrics_.counter(std::string("faults.") +
-                       net::fault_code_name(static_cast<std::uint8_t>(k)));
-    }
-    for (const std::string& name : monitor_set_.monitor_names()) {
-      metrics_.counter("violations." + name);
-    }
-    // Sustained-load availability instruments (pull; refreshed in stats()).
-    metrics_.counter("fault_rate_per_kilotick");
-    metrics_.counter("availability_ppm");
-    metrics_.counter("deliveries_to_crashed");
-    metrics_.counter("dropped_by_partition");
-    reconverge_hist_ = &metrics_.histogram("reconverge_ticks",
-                                           obs::Histogram::pow2_bounds(20));
-    // Blast-radius rollup (provenance.*; zeros when provenance is off).
-    // Registered unconditionally so the snapshot shape is a pure function
-    // of collect_metrics, never of the provenance toggle.
-    metrics_.counter("provenance.faults_minted");
-    metrics_.counter("provenance.processes_tainted");
-    metrics_.counter("provenance.messages_tainted");
-    metrics_.counter("provenance.violations_attributed");
-    metrics_.counter("provenance.containment_ticks");
-    metrics_.counter("provenance.taint_overflows");
-
-    net_->add_send_observer(
-        [this, &queue_depth, &in_flight](const net::Message& msg) {
-          in_flight.observe(net_->in_flight());
-          queue_depth.observe(net_->channel(msg.from, msg.to).in_flight());
-        });
+    histograms_ = std::make_unique<MetricHistograms>();
+    histograms_->hungry_since.assign(config_.n, kNever);
+    MetricHistograms& hist = *histograms_;
+    net_->add_send_observer([this, &hist](const net::Message& msg) {
+      hist.in_flight.observe(net_->in_flight());
+      hist.queue_depth.observe(net_->channel(msg.from, msg.to).in_flight());
+    });
     for (ProcessId pid = 0; pid < config_.n; ++pid) {
       processes_[pid]->add_state_observer(
-          [this, &cs_wait, pid](me::TmeState, me::TmeState to) {
+          [this, &hist, pid](me::TmeState, me::TmeState to) {
+            SimTime& since = hist.hungry_since[pid];
             if (to == me::TmeState::kHungry) {
-              hungry_since_[pid] = sched_.now();
-            } else if (to == me::TmeState::kEating &&
-                       hungry_since_[pid] != kNever) {
-              cs_wait.observe(sched_.now() - hungry_since_[pid]);
-              hungry_since_[pid] = kNever;
+              since = sched_.now();
+            } else if (to == me::TmeState::kEating && since != kNever) {
+              hist.cs_wait.observe(sched_.now() - since);
+              since = kNever;
             }
           });
     }
@@ -411,7 +387,7 @@ void SystemHarness::on_fault_arrival() {
                             : 0;
     ++reconverge_windows_;
     reconverge_ticks_ += gap;
-    if (reconverge_hist_ != nullptr) reconverge_hist_->observe(gap);
+    if (histograms_ != nullptr) histograms_->reconverge.observe(gap);
   }
   prev_fault_time_ = now;
 }
@@ -534,51 +510,71 @@ RunStats SystemHarness::stats() const {
     stats.taint_overflows = provenance_->taint_overflows();
   }
 
-  if (config_.collect_metrics) {
-    // Refresh the pull counters (registered in the constructor, so the
-    // snapshot order never depends on when stats() is called).
-    std::uint64_t resends = 0;
-    for (const auto& w : wrappers_)
-      if (w) resends += w->resends();
-    metrics_.counter("wrapper_resends").set(resends);
-    metrics_.counter("level1_corrections").set(stats.level1_corrections);
-    for (std::size_t k = 0; k < net::kFaultCodeCount; ++k) {
-      metrics_
-          .counter(std::string("faults.") +
-                   net::fault_code_name(static_cast<std::uint8_t>(k)))
-          .set(fault_stats[k].count);
-    }
-    for (const auto& [name, total] :
-         monitor_set_.violations_total_by_monitor()) {
-      metrics_.counter("violations." + name).set(total);
-    }
-    // Availability under load: observed fault pressure and the fraction of
-    // issued CS requests actually served (ppm; 10^6 when nothing issued).
-    // Capped at 10^6: state corruption can fabricate CS entries no client
-    // requested, and those must not read as surplus availability.
-    metrics_.counter("fault_rate_per_kilotick")
-        .set(stats.duration > 0 ? stats.faults_injected * 1000 / stats.duration
-                                : 0);
-    const std::uint64_t served = tm.me2 != nullptr ? tm.me2->served() : 0;
-    metrics_.counter("availability_ppm")
-        .set(stats.requests_issued > 0
-                 ? std::min<std::uint64_t>(
-                       1000000, served * 1000000 / stats.requests_issued)
-                 : 1000000);
-    metrics_.counter("deliveries_to_crashed").set(deliveries_to_crashed_);
-    metrics_.counter("dropped_by_partition").set(net_->dropped_by_partition());
-    metrics_.counter("provenance.faults_minted").set(stats.provenance_faults);
-    metrics_.counter("provenance.processes_tainted")
-        .set(stats.processes_tainted);
-    metrics_.counter("provenance.messages_tainted").set(stats.messages_tainted);
-    metrics_.counter("provenance.violations_attributed")
-        .set(stats.violations_attributed);
-    metrics_.counter("provenance.containment_ticks")
-        .set(stats.containment_ticks);
-    metrics_.counter("provenance.taint_overflows").set(stats.taint_overflows);
-    stats.metrics = metrics_.snapshot();
-  }
+  if (histograms_ != nullptr) stats.metrics = metrics_view(stats);
   return stats;
+}
+
+obs::MetricsSnapshot SystemHarness::metrics_view(
+    const RunStats& stats) const {
+  using obs::MetricSample;
+  obs::MetricsSnapshot m;
+  m.push_back(MetricSample::histogram("cs_wait_ticks", histograms_->cs_wait));
+  m.push_back(MetricSample::histogram("channel_queue_depth",
+                                      histograms_->queue_depth));
+  m.push_back(
+      MetricSample::histogram("net_in_flight", histograms_->in_flight));
+  std::uint64_t resends = 0;
+  for (const auto& w : wrappers_)
+    if (w) resends += w->resends();
+  m.push_back(MetricSample::counter("wrapper_resends", resends));
+  m.push_back(MetricSample::counter("level1_corrections",
+                                    stats.level1_corrections));
+  const std::vector<obs::KindStats>& fault_stats = bus_->fault_stats();
+  for (std::size_t k = 0; k < net::kFaultCodeCount; ++k) {
+    m.push_back(MetricSample::counter(
+        std::string("faults.") +
+            net::fault_code_name(static_cast<std::uint8_t>(k)),
+        fault_stats[k].count));
+  }
+  for (const auto& [name, total] :
+       monitor_set_.violations_total_by_monitor()) {
+    m.push_back(MetricSample::counter("violations." + name, total));
+  }
+  // Availability under load: observed fault pressure and the fraction of
+  // issued CS requests actually served (ppm; 10^6 when nothing issued).
+  // Capped at 10^6: state corruption can fabricate CS entries no client
+  // requested, and those must not read as surplus availability.
+  m.push_back(MetricSample::counter(
+      "fault_rate_per_kilotick",
+      stats.duration > 0 ? stats.faults_injected * 1000 / stats.duration
+                         : 0));
+  m.push_back(MetricSample::counter(
+      "availability_ppm",
+      stats.requests_issued > 0
+          ? std::min<std::uint64_t>(
+                1000000, stats.me2_served * 1000000 / stats.requests_issued)
+          : 1000000));
+  m.push_back(MetricSample::counter("deliveries_to_crashed",
+                                    stats.deliveries_to_crashed));
+  m.push_back(MetricSample::counter("dropped_by_partition",
+                                    stats.dropped_by_partition));
+  m.push_back(
+      MetricSample::histogram("reconverge_ticks", histograms_->reconverge));
+  // Blast-radius rollup (zeros when provenance is off): the snapshot shape
+  // is a pure function of collect_metrics, never of the provenance toggle.
+  m.push_back(MetricSample::counter("provenance.faults_minted",
+                                    stats.provenance_faults));
+  m.push_back(MetricSample::counter("provenance.processes_tainted",
+                                    stats.processes_tainted));
+  m.push_back(MetricSample::counter("provenance.messages_tainted",
+                                    stats.messages_tainted));
+  m.push_back(MetricSample::counter("provenance.violations_attributed",
+                                    stats.violations_attributed));
+  m.push_back(MetricSample::counter("provenance.containment_ticks",
+                                    stats.containment_ticks));
+  m.push_back(MetricSample::counter("provenance.taint_overflows",
+                                    stats.taint_overflows));
+  return m;
 }
 
 }  // namespace graybox::core

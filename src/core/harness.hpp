@@ -141,11 +141,13 @@ struct HarnessConfig {
   /// capacity.
   std::size_t trace_capacity = 0;
 
-  /// Install the metrics instrumentation (CS wait histogram, queue-depth
-  /// and in-flight samples, plus the pull counters mirrored in
-  /// RunStats::metrics). Purely passive — no RNG draws, no scheduling — so
-  /// it never perturbs the run; excluded from config_digest for exactly
-  /// that reason (the experiment engine forces it on per trial).
+  /// Install the metrics instrumentation (CS wait, queue-depth, in-flight
+  /// and reconvergence histograms) and export RunStats::metrics: those
+  /// histograms plus counters read from the other RunStats fields, the bus
+  /// fault aggregates and the monitor totals. Purely passive — no RNG
+  /// draws, no scheduling — so it never perturbs the run; excluded from
+  /// config_digest for exactly that reason (the experiment engine forces it
+  /// on per trial).
   bool collect_metrics = false;
 
   /// Sustained fault load: continuous per-kind fault streams plus
@@ -300,9 +302,6 @@ class SystemHarness {
     return provenance_.get();
   }
 
-  /// Live metric instruments; empty unless config.collect_metrics.
-  const obs::MetricsRegistry& metrics() const { return metrics_; }
-
   /// Arm clients and wrappers.
   void start();
 
@@ -335,6 +334,10 @@ class SystemHarness {
   void note_lifecycle(std::uint8_t code, ProcessId pid);
   /// Close the current reconvergence window (a new fault arrived).
   void on_fault_arrival();
+  /// The exported metrics: which run facts a trial exports, and in what
+  /// order. A view over `stats` (just filled by stats()), the bus fault
+  /// aggregates, the monitor totals and the push histograms.
+  obs::MetricsSnapshot metrics_view(const RunStats& stats) const;
 
   HarnessConfig config_;
   Rng master_rng_;
@@ -362,7 +365,6 @@ class SystemHarness {
   SimTime last_violation_time_ = kNever;
   std::uint64_t reconverge_windows_ = 0;
   std::uint64_t reconverge_ticks_ = 0;
-  obs::Histogram* reconverge_hist_ = nullptr;
   std::unique_ptr<lspec::SnapshotSource> snapshots_;
   lspec::TmeMonitorSet monitor_set_;
   lspec::TmeMonitors tme_handles_;
@@ -373,9 +375,10 @@ class SystemHarness {
   /// raw pointer to it would matter only for destructor use — none do —
   /// but keep it next to the bus it conceptually extends.
   std::unique_ptr<obs::ProvenanceTracker> provenance_;
-  // Pull counters are refreshed from component state inside const stats().
-  mutable obs::MetricsRegistry metrics_;
-  std::vector<SimTime> hungry_since_;  ///< per-pid CS wait start (metrics)
+  /// The push histograms behind RunStats::metrics; null unless
+  /// config.collect_metrics.
+  struct MetricHistograms;
+  std::unique_ptr<MetricHistograms> histograms_;
   std::uint64_t observe_ns_ = 0;
   std::unique_ptr<lspec::StructuralSpecMonitor> structural_;
   std::unique_ptr<lspec::SendMonotonicityMonitor> send_mono_;

@@ -6,18 +6,6 @@
 
 namespace graybox::obs {
 
-void Gauge::set(std::int64_t value) {
-  value_ = value;
-  if (!set_) {
-    low_ = value;
-    high_ = value;
-    set_ = true;
-  } else {
-    low_ = std::min(low_, value);
-    high_ = std::max(high_, value);
-  }
-}
-
 Histogram::Histogram(std::vector<std::uint64_t> bounds)
     : bounds_(std::move(bounds)), buckets_(bounds_.size() + 1, 0) {
   GBX_EXPECTS(!bounds_.empty());
@@ -48,112 +36,51 @@ double Histogram::mean() const {
                      : static_cast<double>(sum_) / static_cast<double>(count_);
 }
 
-Counter& MetricsRegistry::counter(const std::string& name) {
-  if (Entry* e = find(name)) {
-    GBX_EXPECTS(e->kind == MetricSample::Kind::kCounter);
-    return *e->counter;
-  }
-  Entry e;
-  e.name = name;
-  e.kind = MetricSample::Kind::kCounter;
-  e.counter = std::make_unique<Counter>();
-  entries_.push_back(std::move(e));
-  return *entries_.back().counter;
+MetricSample MetricSample::counter(std::string name, std::uint64_t value) {
+  MetricSample s;
+  s.name = std::move(name);
+  s.value = static_cast<std::int64_t>(value);
+  return s;
 }
 
-Gauge& MetricsRegistry::gauge(const std::string& name) {
-  if (Entry* e = find(name)) {
-    GBX_EXPECTS(e->kind == MetricSample::Kind::kGauge);
-    return *e->gauge;
-  }
-  Entry e;
-  e.name = name;
-  e.kind = MetricSample::Kind::kGauge;
-  e.gauge = std::make_unique<Gauge>();
-  entries_.push_back(std::move(e));
-  return *entries_.back().gauge;
+MetricSample MetricSample::histogram(std::string name, const Histogram& h) {
+  MetricSample s;
+  s.name = std::move(name);
+  s.kind = Kind::kHistogram;
+  s.value = static_cast<std::int64_t>(h.count());
+  s.sum = h.sum();
+  s.min = h.min();
+  s.max = h.max();
+  s.bounds = h.bounds();
+  s.buckets = h.buckets();
+  return s;
 }
 
-Histogram& MetricsRegistry::histogram(const std::string& name,
-                                      std::vector<std::uint64_t> bounds) {
-  if (Entry* e = find(name)) {
-    GBX_EXPECTS(e->kind == MetricSample::Kind::kHistogram);
-    return *e->histogram;
-  }
-  Entry e;
-  e.name = name;
-  e.kind = MetricSample::Kind::kHistogram;
-  e.histogram = std::make_unique<Histogram>(std::move(bounds));
-  entries_.push_back(std::move(e));
-  return *entries_.back().histogram;
-}
+namespace {
 
-MetricsRegistry::Entry* MetricsRegistry::find(const std::string& name) {
-  for (Entry& e : entries_) {
-    if (e.name == name) return &e;
-  }
-  return nullptr;
-}
-
-MetricsSnapshot MetricsRegistry::snapshot() const {
-  MetricsSnapshot out;
-  out.reserve(entries_.size());
-  for (const Entry& e : entries_) {
-    MetricSample s;
-    s.name = e.name;
-    s.kind = e.kind;
-    switch (e.kind) {
-      case MetricSample::Kind::kCounter:
-        s.value = static_cast<std::int64_t>(e.counter->value());
-        break;
-      case MetricSample::Kind::kGauge:
-        s.value = e.gauge->value();
-        s.min = static_cast<std::uint64_t>(e.gauge->low());
-        s.max = static_cast<std::uint64_t>(e.gauge->high());
-        break;
-      case MetricSample::Kind::kHistogram:
-        s.value = static_cast<std::int64_t>(e.histogram->count());
-        s.sum = e.histogram->sum();
-        s.min = e.histogram->min();
-        s.max = e.histogram->max();
-        s.bounds = e.histogram->bounds();
-        s.buckets = e.histogram->buckets();
-        break;
-    }
-    out.push_back(std::move(s));
-  }
+report::Json u64_array(const std::vector<std::uint64_t>& values) {
+  report::Json out = report::Json::array();
+  for (const std::uint64_t v : values) out.push_back(v);
   return out;
 }
+
+}  // namespace
 
 report::Json metrics_snapshot_to_json(const MetricsSnapshot& snapshot) {
   report::Json doc = report::Json::object();
   for (const MetricSample& s : snapshot) {
     report::Json cell = report::Json::object();
-    switch (s.kind) {
-      case MetricSample::Kind::kCounter:
-        cell["type"] = "counter";
-        cell["value"] = s.value;
-        break;
-      case MetricSample::Kind::kGauge:
-        cell["type"] = "gauge";
-        cell["value"] = s.value;
-        cell["low"] = static_cast<std::int64_t>(s.min);
-        cell["high"] = static_cast<std::int64_t>(s.max);
-        break;
-      case MetricSample::Kind::kHistogram: {
-        cell["type"] = "histogram";
-        cell["count"] = s.value;
-        cell["sum"] = s.sum;
-        cell["min"] = s.min;
-        cell["max"] = s.max;
-        report::Json bounds = report::Json::array();
-        for (std::uint64_t b : s.bounds) bounds.push_back(b);
-        cell["bounds"] = std::move(bounds);
-        report::Json buckets = report::Json::array();
-        for (std::uint64_t b : s.buckets) buckets.push_back(b);
-        cell["buckets"] = std::move(buckets);
-        break;
-      }
+    if (s.kind == MetricSample::Kind::kCounter) {
+      cell["type"] = "counter";
+      cell["value"] = s.value;
+    } else {
+      cell["type"] = "histogram";
+      cell["count"] = s.value;
+      cell["sum"] = s.sum;
+      cell["min"] = s.min;
+      cell["max"] = s.max;
+      cell["bounds"] = u64_array(s.bounds);
+      cell["buckets"] = u64_array(s.buckets);
     }
     doc[s.name] = std::move(cell);
   }
@@ -195,63 +122,25 @@ void MetricsAggregate::add(const MetricsSnapshot& snapshot) {
   }
 }
 
-void MetricsAggregate::merge(const MetricsAggregate& other) {
-  for (const Entry& oe : other.entries_) {
-    Entry& e = find_or_add(oe.name, oe.kind);
-    e.per_trial.merge(oe.per_trial);
-    if (oe.kind == MetricSample::Kind::kHistogram) {
-      if (e.buckets.empty()) {
-        e.bounds = oe.bounds;
-        e.buckets.assign(oe.buckets.size(), 0);
-      }
-      GBX_EXPECTS(e.buckets.size() == oe.buckets.size());
-      for (std::size_t i = 0; i < oe.buckets.size(); ++i) {
-        e.buckets[i] += oe.buckets[i];
-      }
-      if (oe.hist_count > 0) {
-        if (e.hist_count == 0 || oe.hist_min < e.hist_min)
-          e.hist_min = oe.hist_min;
-        if (e.hist_count == 0 || oe.hist_max > e.hist_max)
-          e.hist_max = oe.hist_max;
-        e.hist_count += oe.hist_count;
-        e.hist_sum += oe.hist_sum;
-      }
-    }
-  }
-}
-
 report::Json MetricsAggregate::to_json() const {
   report::Json doc = report::Json::object();
   for (const Entry& e : entries_) {
     report::Json cell = report::Json::object();
-    switch (e.kind) {
-      case MetricSample::Kind::kCounter:
-        cell["type"] = "counter";
-        break;
-      case MetricSample::Kind::kGauge:
-        cell["type"] = "gauge";
-        break;
-      case MetricSample::Kind::kHistogram:
-        cell["type"] = "histogram";
-        break;
-    }
+    const bool histogram = e.kind == MetricSample::Kind::kHistogram;
+    cell["type"] = histogram ? "histogram" : "counter";
     cell["trials"] = static_cast<std::uint64_t>(e.per_trial.count());
     cell["mean"] = e.per_trial.mean();
     cell["stddev"] = e.per_trial.stddev();
     cell["min"] = e.per_trial.min();
     cell["max"] = e.per_trial.max();
     cell["sum"] = e.per_trial.sum();
-    if (e.kind == MetricSample::Kind::kHistogram) {
+    if (histogram) {
       cell["observations"] = e.hist_count;
       cell["observation_sum"] = e.hist_sum;
       cell["observation_min"] = e.hist_min;
       cell["observation_max"] = e.hist_max;
-      report::Json bounds = report::Json::array();
-      for (std::uint64_t b : e.bounds) bounds.push_back(b);
-      cell["bounds"] = std::move(bounds);
-      report::Json buckets = report::Json::array();
-      for (std::uint64_t b : e.buckets) buckets.push_back(b);
-      cell["buckets"] = std::move(buckets);
+      cell["bounds"] = u64_array(e.bounds);
+      cell["buckets"] = u64_array(e.buckets);
     }
     doc[e.name] = std::move(cell);
   }

@@ -1,20 +1,21 @@
-// Metrics registry: deterministic run instrumentation.
+// Metrics: deterministic run instrumentation.
 //
-// Counters, gauges, and fixed-bucket histograms keyed by *simulated* time
+// Fixed-bucket histograms and counter samples keyed by *simulated* time
 // and sim-domain values — never wall-clock — so that every exported metric
 // is a pure function of the run's seed and byte-identical across --jobs
 // values and repeated runs. (Wall-clock-derived values must stay out of
 // here; they live under the `wall`/`ns` key naming rule of
 // report::strip_volatile_lines.)
 //
-// The registry owns its instruments and snapshots them in registration
-// order; MetricsAggregate folds per-trial snapshots into the experiment
-// engine's seed-order merge, which keeps BENCH_*.json metric cells
-// deterministic by the same argument as every other aggregate.
+// A MetricsSnapshot is an ordered list of samples; its order is export
+// order. SystemHarness::stats() builds one per trial as a view over the
+// RunStats it has just filled, and MetricsAggregate folds per-trial
+// snapshots in the experiment engine's seed order, which keeps
+// BENCH_*.json metric cells deterministic by the same argument as every
+// other aggregate.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -22,35 +23,6 @@
 #include "common/stats.hpp"
 
 namespace graybox::obs {
-
-/// Monotone event count.
-class Counter {
- public:
-  void inc(std::uint64_t delta = 1) { value_ += delta; }
-  /// Absolute update, for pull-style metrics mirrored from an existing
-  /// counter (fault injector counts, monitor totals) at snapshot time.
-  void set(std::uint64_t value) { value_ = value; }
-  std::uint64_t value() const { return value_; }
-
- private:
-  std::uint64_t value_ = 0;
-};
-
-/// Last-written value with min/max watermarks.
-class Gauge {
- public:
-  void set(std::int64_t value);
-  std::int64_t value() const { return value_; }
-  std::int64_t low() const { return low_; }
-  std::int64_t high() const { return high_; }
-  bool ever_set() const { return set_; }
-
- private:
-  std::int64_t value_ = 0;
-  std::int64_t low_ = 0;
-  std::int64_t high_ = 0;
-  bool set_ = false;
-};
 
 /// Fixed-bucket histogram over non-negative integer values. Bucket i counts
 /// observations <= bounds[i] (strictly greater than bounds[i-1]); one
@@ -85,14 +57,19 @@ class Histogram {
   std::uint64_t max_ = 0;
 };
 
-/// Value snapshot of one instrument, decoupled from the live registry so
+/// Value snapshot of one metric, decoupled from the live instruments so
 /// that RunStats can carry metrics across threads and into the engine fold.
 struct MetricSample {
-  enum class Kind : std::uint8_t { kCounter, kGauge, kHistogram };
+  enum class Kind : std::uint8_t { kCounter, kHistogram };
+
+  /// A counter sample: `value` and nothing else.
+  static MetricSample counter(std::string name, std::uint64_t value);
+  /// A histogram sample: count, sum, min, max, bounds and buckets.
+  static MetricSample histogram(std::string name, const Histogram& h);
 
   std::string name;
   Kind kind = Kind::kCounter;
-  /// Counter value / gauge last value / histogram observation count.
+  /// Counter value / histogram observation count.
   std::int64_t value = 0;
   // Histogram-only payload.
   std::uint64_t sum = 0;
@@ -104,46 +81,16 @@ struct MetricSample {
 
 using MetricsSnapshot = std::vector<MetricSample>;
 
-/// Ordered, owning collection of named instruments. Registration order is
-/// snapshot/export order (deterministic). Re-registering a name returns
-/// the existing instrument (kind must match; contract).
-class MetricsRegistry {
- public:
-  Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
-  Histogram& histogram(const std::string& name,
-                       std::vector<std::uint64_t> bounds);
-
-  bool empty() const { return entries_.empty(); }
-  std::size_t size() const { return entries_.size(); }
-
-  MetricsSnapshot snapshot() const;
-
- private:
-  struct Entry {
-    std::string name;
-    MetricSample::Kind kind;
-    std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<Histogram> histogram;
-  };
-  Entry* find(const std::string& name);
-
-  std::vector<Entry> entries_;
-};
-
 /// Serialize one snapshot (insertion order preserved; all values
 /// sim-domain, so the artifact is byte-stable across runs and jobs).
 report::Json metrics_snapshot_to_json(const MetricsSnapshot& snapshot);
 
-/// Fold of per-trial MetricsSnapshots, mergeable like RepeatedResult's
-/// accumulators: add() one trial, merge() another partial (its trials
-/// ordered after ours). Counter and gauge values become per-trial
-/// Accumulators; histograms sum bucket-wise.
+/// Fold of per-trial MetricsSnapshots in add() order (the engine adds in
+/// seed order). Counter values become per-trial Accumulators; histograms
+/// sum bucket-wise.
 class MetricsAggregate {
  public:
   void add(const MetricsSnapshot& snapshot);
-  void merge(const MetricsAggregate& other);
   bool empty() const { return entries_.empty(); }
 
   report::Json to_json() const;
@@ -152,7 +99,7 @@ class MetricsAggregate {
   struct Entry {
     std::string name;
     MetricSample::Kind kind = MetricSample::Kind::kCounter;
-    /// Counter/gauge value per trial; histogram count per trial.
+    /// Counter value per trial; histogram count per trial.
     Accumulator per_trial;
     // Histogram fold across trials.
     std::uint64_t hist_count = 0;

@@ -1,8 +1,7 @@
-// ExperimentEngine and its substrate: the Accumulator/RepeatedResult merge
-// algebra, the worker pool, the config digest, and — the load-bearing
-// guarantee — that aggregate results and JSON artifacts are identical for
-// every --jobs value (serial == parallel, bit for bit, modulo wall-clock
-// fields).
+// ExperimentEngine and its substrate: the worker pool, the config digest,
+// and — the load-bearing guarantee — that the seed-order fold makes
+// aggregate results and JSON artifacts identical for every --jobs value
+// (serial == parallel, bit for bit, modulo wall-clock fields).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,8 +10,6 @@
 
 #include "common/parallel.hpp"
 #include "common/report.hpp"
-#include "common/rng.hpp"
-#include "common/stats.hpp"
 #include "core/engine.hpp"
 
 namespace graybox::core {
@@ -40,94 +37,7 @@ TEST(ParallelTasks, ResolveJobs) {
   EXPECT_EQ(resolve_jobs(3), 3u);
 }
 
-// --- Accumulator merge algebra ----------------------------------------------
-
-TEST(AccumulatorMerge, BitIdenticalToSequentialAccumulation) {
-  // Chunked accumulation + in-order merge must replay the exact add()
-  // sequence, so every derived statistic matches BITWISE.
-  Rng rng(99);
-  std::vector<double> xs;
-  for (int i = 0; i < 500; ++i) xs.push_back(rng.uniform01() * 1e4 - 5e3);
-
-  Accumulator serial;
-  for (const double x : xs) serial.add(x);
-
-  for (const std::size_t chunks : {2u, 3u, 7u}) {
-    std::vector<Accumulator> parts(chunks);
-    for (std::size_t i = 0; i < xs.size(); ++i)
-      parts[i * chunks / xs.size()].add(xs[i]);
-    Accumulator merged;
-    for (const Accumulator& part : parts) merged.merge(part);
-
-    EXPECT_EQ(merged.count(), serial.count());
-    EXPECT_EQ(merged.mean(), serial.mean()) << chunks << " chunks";
-    EXPECT_EQ(merged.stddev(), serial.stddev()) << chunks << " chunks";
-    EXPECT_EQ(merged.min(), serial.min());
-    EXPECT_EQ(merged.max(), serial.max());
-    EXPECT_EQ(merged.sum(), serial.sum());
-    EXPECT_EQ(merged.percentile(50), serial.percentile(50));
-    EXPECT_EQ(merged.percentile(99), serial.percentile(99));
-  }
-}
-
-TEST(AccumulatorMerge, EmptyIsAnIdentity) {
-  Accumulator a;
-  a.add(3.0);
-  a.add(5.0);
-  const double mean = a.mean(), sd = a.stddev();
-  a.merge(Accumulator());  // right identity
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_EQ(a.mean(), mean);
-  EXPECT_EQ(a.stddev(), sd);
-  Accumulator b;
-  b.merge(a);  // left identity
-  EXPECT_EQ(b.count(), 2u);
-  EXPECT_EQ(b.mean(), mean);
-  EXPECT_EQ(b.stddev(), sd);
-}
-
-TEST(AccumulatorCap, BoundsRetainedSamplesButKeepsMomentsExact) {
-  Accumulator capped(10);
-  Accumulator exact;
-  Rng rng(5);
-  for (int i = 0; i < 200; ++i) {
-    const double x = rng.uniform01() * 100;
-    capped.add(x);
-    exact.add(x);
-  }
-  EXPECT_EQ(capped.samples().size(), 10u);
-  EXPECT_FALSE(capped.retains_all_samples());
-  EXPECT_EQ(capped.count(), 200u);
-  EXPECT_DOUBLE_EQ(capped.mean(), exact.mean());
-  EXPECT_DOUBLE_EQ(capped.stddev(), exact.stddev());
-  EXPECT_EQ(capped.min(), exact.min());
-  EXPECT_EQ(capped.max(), exact.max());
-}
-
-TEST(AccumulatorCap, CappedMergeKeepsMomentsExact) {
-  // Once the cap discards samples, merge falls back to Chan's formula:
-  // moments must still match the serial run to floating-point accuracy.
-  Rng rng(7);
-  std::vector<double> xs;
-  for (int i = 0; i < 300; ++i) xs.push_back(rng.uniform01() * 50 - 25);
-
-  Accumulator serial;
-  for (const double x : xs) serial.add(x);
-
-  Accumulator left(8), right(8);
-  for (std::size_t i = 0; i < xs.size(); ++i)
-    (i < xs.size() / 2 ? left : right).add(xs[i]);
-  left.merge(right);
-
-  EXPECT_EQ(left.count(), serial.count());
-  EXPECT_NEAR(left.mean(), serial.mean(), 1e-9);
-  EXPECT_NEAR(left.stddev(), serial.stddev(), 1e-9);
-  EXPECT_EQ(left.min(), serial.min());
-  EXPECT_EQ(left.max(), serial.max());
-  EXPECT_LE(left.samples().size(), 8u);
-}
-
-// --- RepeatedResult monoid ---------------------------------------------------
+// --- Shared fixtures ---------------------------------------------------------
 
 FaultScenario quick_scenario() {
   FaultScenario scenario;
@@ -146,34 +56,6 @@ HarnessConfig quick_config(std::uint64_t seed) {
   config.client.eat_mean = 5;
   config.seed = seed;
   return config;
-}
-
-TEST(RepeatedResult, MergeEqualsSequentialAdds) {
-  std::vector<ExperimentResult> results;
-  for (std::uint64_t s = 0; s < 6; ++s)
-    results.push_back(
-        run_fault_experiment(quick_config(8800 + s), quick_scenario()));
-
-  RepeatedResult serial;
-  for (const ExperimentResult& r : results) serial.add(r);
-
-  RepeatedResult left, right;
-  for (std::size_t i = 0; i < results.size(); ++i)
-    (i < 3 ? left : right).add(results[i]);
-  left.merge(right);
-
-  EXPECT_EQ(left.trials, serial.trials);
-  EXPECT_EQ(left.stabilized, serial.stabilized);
-  EXPECT_EQ(left.starved, serial.starved);
-  EXPECT_EQ(left.latency.mean(), serial.latency.mean());
-  EXPECT_EQ(left.latency.stddev(), serial.latency.stddev());
-  EXPECT_EQ(left.total_messages.mean(), serial.total_messages.mean());
-  EXPECT_EQ(left.events.sum(), serial.events.sum());
-
-  RepeatedResult identity;
-  identity.merge(serial);
-  EXPECT_EQ(identity.trials, serial.trials);
-  EXPECT_EQ(identity.latency.mean(), serial.latency.mean());
 }
 
 // --- Engine determinism across jobs ------------------------------------------
@@ -250,17 +132,6 @@ TEST(ExperimentEngine, MatchesDirectSerialLoop) {
   EXPECT_EQ(engine.latency.stddev(), loop.latency.stddev());
   EXPECT_EQ(engine.total_messages.sum(), loop.total_messages.sum());
   EXPECT_EQ(engine.events.sum(), loop.events.sum());
-}
-
-TEST(ExperimentEngine, SampleCapBoundsEngineMemory) {
-  SpecGrid grid;
-  grid.add("capped", quick_config(300), quick_scenario(), 12);
-  const GridResult result =
-      ExperimentEngine(EngineOptions{.jobs = 2, .sample_cap = 4}).run(grid);
-  const RepeatedResult& r = result.cell("capped").result;
-  EXPECT_EQ(r.trials, 12u);
-  EXPECT_EQ(r.cs_entries.count(), 12u);
-  EXPECT_LE(r.cs_entries.samples().size(), 4u);
 }
 
 TEST(ExperimentEngine, CustomTrialCallableRuns) {

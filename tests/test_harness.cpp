@@ -151,6 +151,70 @@ TEST(Harness, RicartAgrawalaSendsNoReleases) {
   EXPECT_EQ(h.stats().sent_release, 0u);
 }
 
+// The exported metric sequence (names, kinds, order) is what keeps every
+// BENCH_*.json metrics section byte-stable; pin it exactly.
+std::vector<std::string> metric_layout(const std::string& algo) {
+  HarnessConfig config = base_config(algo, true);
+  config.collect_metrics = true;
+  SystemHarness h(config);
+  h.start();
+  h.run_for(500);
+  std::vector<std::string> layout;
+  for (const obs::MetricSample& s : h.stats().metrics) {
+    layout.push_back(
+        s.name +
+        (s.kind == obs::MetricSample::Kind::kHistogram ? ":h" : ":c"));
+  }
+  return layout;
+}
+
+std::vector<std::string> expected_metric_layout(bool mutual_belief) {
+  std::vector<std::string> layout = {
+      "cs_wait_ticks:h",
+      "channel_queue_depth:h",
+      "net_in_flight:h",
+      "wrapper_resends:c",
+      "level1_corrections:c",
+      "faults.message-drop:c",
+      "faults.message-duplicate:c",
+      "faults.message-corrupt:c",
+      "faults.message-reorder:c",
+      "faults.spurious-message:c",
+      "faults.process-corrupt:c",
+      "faults.channel-clear:c",
+      "faults.process-crash:c",
+      "faults.process-recover:c",
+      "faults.partition:c",
+      "faults.partition-heal:c",
+      "violations.ME1:c",
+      "violations.ME2:c",
+      "violations.ME3:c",
+      "violations.InvariantI:c"};
+  if (mutual_belief) layout.push_back("violations.MutualBelief:c");
+  for (const char* tail :
+       {"violations.Lspec/FlowSpec:c", "violations.Lspec/CsSpec:c",
+        "violations.Lspec/RequestSpec:c", "violations.Lspec/CsReleaseSpec:c",
+        "violations.Lspec/CsEntrySpec:c", "fault_rate_per_kilotick:c",
+        "availability_ppm:c", "deliveries_to_crashed:c",
+        "dropped_by_partition:c", "reconverge_ticks:h",
+        "provenance.faults_minted:c", "provenance.processes_tainted:c",
+        "provenance.messages_tainted:c",
+        "provenance.violations_attributed:c",
+        "provenance.containment_ticks:c", "provenance.taint_overflows:c"}) {
+    layout.push_back(tail);
+  }
+  return layout;
+}
+
+TEST(HarnessMetricsOrder, RicartAgrawalaExportsPinnedSequence) {
+  EXPECT_EQ(metric_layout("ricart-agrawala"), expected_metric_layout(false));
+}
+
+TEST(HarnessMetricsOrder, CarvalhoRoucairolAddsMutualBelief) {
+  EXPECT_EQ(metric_layout("carvalho-roucairol"),
+            expected_metric_layout(true));
+}
+
 TEST(Experiment, FaultFreeScenarioViaRunner) {
   FaultScenario scenario;
   scenario.burst = 0;

@@ -426,52 +426,15 @@ TEST(Histogram, EmptyIsWellDefined) {
   EXPECT_DOUBLE_EQ(h.mean(), 0.0);
 }
 
-// --- MetricsRegistry ---------------------------------------------------------
-
-TEST(MetricsRegistry, GetOrCreateAndSnapshotOrder) {
-  obs::MetricsRegistry reg;
-  EXPECT_TRUE(reg.empty());
-  reg.counter("zebra").inc(3);
-  reg.gauge("alpha").set(-5);
-  reg.gauge("alpha").set(9);
-  reg.histogram("wait", obs::Histogram::pow2_bounds(2)).observe(3);
-  reg.counter("zebra").inc();  // same instrument, not a new entry
-  EXPECT_EQ(reg.size(), 3u);
-
-  const obs::MetricsSnapshot snap = reg.snapshot();
-  ASSERT_EQ(snap.size(), 3u);
-  // Registration order, not alphabetical.
-  EXPECT_EQ(snap[0].name, "zebra");
-  EXPECT_EQ(snap[0].kind, obs::MetricSample::Kind::kCounter);
-  EXPECT_EQ(snap[0].value, 4);
-  EXPECT_EQ(snap[1].name, "alpha");
-  EXPECT_EQ(snap[1].kind, obs::MetricSample::Kind::kGauge);
-  EXPECT_EQ(snap[1].value, 9);
-  EXPECT_EQ(snap[2].name, "wait");
-  EXPECT_EQ(snap[2].kind, obs::MetricSample::Kind::kHistogram);
-  EXPECT_EQ(snap[2].value, 1);  // observation count
-  EXPECT_EQ(snap[2].sum, 3u);
-  ASSERT_EQ(snap[2].buckets.size(), snap[2].bounds.size() + 1);
-}
-
-TEST(Gauge, TracksWatermarks) {
-  obs::Gauge g;
-  EXPECT_FALSE(g.ever_set());
-  g.set(5);
-  g.set(-2);
-  g.set(3);
-  EXPECT_TRUE(g.ever_set());
-  EXPECT_EQ(g.value(), 3);
-  EXPECT_EQ(g.low(), -2);
-  EXPECT_EQ(g.high(), 5);
-}
+// --- Metric samples ---------------------------------------------------------
 
 TEST(MetricsSnapshotJson, CarriesEveryInstrument) {
-  obs::MetricsRegistry reg;
-  reg.counter("sends").inc(7);
-  reg.histogram("depth", {1, 2}).observe(2);
-  const std::string text =
-      obs::metrics_snapshot_to_json(reg.snapshot()).dump();
+  obs::Histogram depth({1, 2});
+  depth.observe(2);
+  const obs::MetricsSnapshot snapshot = {
+      obs::MetricSample::counter("sends", 7),
+      obs::MetricSample::histogram("depth", depth)};
+  const std::string text = obs::metrics_snapshot_to_json(snapshot).dump();
   EXPECT_NE(text.find("\"sends\""), std::string::npos);
   EXPECT_NE(text.find("\"depth\""), std::string::npos);
   EXPECT_NE(text.find("\"counter\""), std::string::npos);
@@ -481,28 +444,10 @@ TEST(MetricsSnapshotJson, CarriesEveryInstrument) {
 // --- MetricsAggregate: the engine's fold -------------------------------------
 
 obs::MetricsSnapshot fake_trial_snapshot(std::uint64_t seed) {
-  obs::MetricsRegistry reg;
-  reg.counter("cs").inc(10 + seed);
-  auto& h = reg.histogram("wait", obs::Histogram::pow2_bounds(3));
+  obs::Histogram h(obs::Histogram::pow2_bounds(3));
   for (std::uint64_t v = 0; v <= seed; ++v) h.observe(v);
-  return reg.snapshot();
-}
-
-TEST(MetricsAggregate, SplitMergeEqualsSequentialFold) {
-  obs::MetricsAggregate serial;
-  for (std::uint64_t s = 0; s < 6; ++s) serial.add(fake_trial_snapshot(s));
-
-  obs::MetricsAggregate left, right;
-  for (std::uint64_t s = 0; s < 3; ++s) left.add(fake_trial_snapshot(s));
-  for (std::uint64_t s = 3; s < 6; ++s) right.add(fake_trial_snapshot(s));
-  left.merge(right);
-
-  // Same fold, byte for byte — the engine's jobs-independence argument.
-  EXPECT_EQ(left.to_json().dump(), serial.to_json().dump());
-
-  obs::MetricsAggregate identity;
-  identity.merge(serial);
-  EXPECT_EQ(identity.to_json().dump(), serial.to_json().dump());
+  return {obs::MetricSample::counter("cs", 10 + seed),
+          obs::MetricSample::histogram("wait", h)};
 }
 
 TEST(MetricsAggregate, JsonShape) {
