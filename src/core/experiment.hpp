@@ -70,8 +70,9 @@ struct RepeatedResult {
   /// availability number: how much service survives a continuous adversary.
   Accumulator availability;
   /// Per-trial mean time-to-reconverge: over the trial's fault->fault
-  /// windows, the average gap from a fault arrival to the last safety
-  /// violation inside its window (0 for clean windows / fault-free trials).
+  /// windows, the average gap from a fault arrival to the latest violation
+  /// of any installed monitor inside its window (0 for clean windows /
+  /// fault-free trials).
   Accumulator reconverge;
   /// Summed observation-hot-path nanoseconds across trials (volatile:
   /// wall-clock derived, stripped from determinism comparisons).

@@ -234,7 +234,10 @@ SystemHarness::SystemHarness(HarnessConfig config)
   // Violations are rare, so the hook is off the hot path.
   bus_->set_monitor_names(monitor_set_.monitor_names());
   monitor_set_.set_violation_hook([this](SimTime t, std::size_t index) {
-    last_violation_time_ = t;
+    // A max, not the latest report: finish() reports end-of-run verdicts
+    // at the past time the wait began.
+    if (last_violation_time_ == kNever || t > last_violation_time_)
+      last_violation_time_ = t;
     // Attribute the violation to its root-cause fault(s) before recording,
     // so the bus event carries the attribution.
     obs::Event e;
@@ -379,8 +382,9 @@ void SystemHarness::note_lifecycle(std::uint8_t code, ProcessId pid) {
 void SystemHarness::on_fault_arrival() {
   const SimTime now = sched_.now();
   if (prev_fault_time_ != kNever) {
-    // Close the previous fault's window at the last safety violation it
-    // produced (0 when the system absorbed the fault violation-free).
+    // Close the previous fault's window at the latest violation (of any
+    // installed monitor) inside it (0 when the system absorbed the fault
+    // violation-free).
     const SimTime gap = (last_violation_time_ != kNever &&
                          last_violation_time_ >= prev_fault_time_)
                             ? last_violation_time_ - prev_fault_time_

@@ -210,8 +210,9 @@ struct RunStats {
   /// opened by the previous one; the tail window to run end included).
   std::uint64_t reconverge_windows = 0;
   /// Summed time-to-reconverge over those windows: per window, the gap
-  /// from the fault to the last safety violation inside the window (0 for
-  /// a violation-free window). reconverge_ticks_total / reconverge_windows
+  /// from the fault to the latest violation inside the window, from any
+  /// installed monitor (safety, ME2 and the Lspec clauses alike; 0 for a
+  /// violation-free window). reconverge_ticks_total / reconverge_windows
   /// is the mean time the system stayed divergent per fault arrival.
   std::uint64_t reconverge_ticks_total = 0;
   /// Wall nanoseconds spent in the observation hot path (snapshot capture
@@ -360,7 +361,8 @@ class SystemHarness {
   std::vector<char> crashed_;
   std::uint64_t deliveries_to_crashed_ = 0;
   // Reconvergence tracking: every fault arrival closes the window opened
-  // by the previous one at the last safety violation seen inside it.
+  // by the previous one at the latest violation (any installed monitor)
+  // seen inside it.
   SimTime prev_fault_time_ = kNever;
   SimTime last_violation_time_ = kNever;
   std::uint64_t reconverge_windows_ = 0;

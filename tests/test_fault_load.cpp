@@ -1,7 +1,8 @@
 // The sustained fault-load subsystem: FaultProcess stream determinism,
 // crash/recovery and partition/heal lifecycles through the harness, their
-// observability (timeline parity, metrics), and the engine-level guarantee
-// that fault-load experiments stay byte-identical across --jobs values.
+// observability (timeline parity, metrics, reconvergence windows), and the
+// engine-level guarantee that fault-load experiments stay byte-identical
+// across --jobs values.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -272,6 +273,39 @@ TEST(HarnessLifecycle, MetricsCarryAvailabilityInstruments) {
   EXPECT_TRUE(saw_reconverge);
   EXPECT_GT(stats.faults_injected, 0u);
   EXPECT_GT(stats.reconverge_windows, 0u);
+}
+
+// --- Reconvergence windows --------------------------------------------------
+
+TEST(Reconvergence, TailWindowEndsAtTheLatestViolation) {
+  // drain() closes the monitors, and end-of-run verdicts (ME2 starvation,
+  // CsSpec, CsEntrySpec) are reported at the past time the wait began. A
+  // burst-only trial has one non-empty window, from the burst to the
+  // latest violation of any installed monitor; a late report of an earlier
+  // time must not pull that window back.
+  for (const std::uint64_t seed : {9001u, 9004u}) {
+    HarnessConfig config;
+    config.n = 5;
+    config.algorithm = "lamport";
+    config.wrapped = false;
+    config.client.think_mean = 40;
+    config.client.eat_mean = 8;
+    config.seed = seed;
+    SystemHarness h(config);
+    h.start();
+    h.run_for(600);
+    net::FaultMix mix = net::FaultMix::only(net::FaultKind::kMessageDrop);
+    mix.channel_clear = true;
+    h.faults().burst(10, mix);
+    h.run_for(9000);
+    h.drain(6000);
+    const SimTime last_fault = h.stabilization_report().last_fault;
+    const SimTime last_violation = h.monitors().last_violation();
+    ASSERT_NE(last_violation, kNever) << seed;
+    ASSERT_GT(last_violation, last_fault) << seed;
+    EXPECT_EQ(h.stats().reconverge_ticks_total, last_violation - last_fault)
+        << "seed " << seed;
+  }
 }
 
 // --- Liveness under sustained load ------------------------------------------
