@@ -83,22 +83,28 @@ Explorer::Explorer(ExplorerConfig config) : config_(std::move(config)) {
 
 void Explorer::apply_fault(core::SystemHarness& h,
                            const net::TargetedFault& f) {
+  // A target that does not exist in this system (shrunk or hand-written
+  // trace, drifted state) degrades to a no-op, never a contract abort.
+  const std::size_t n = h.config().n;
   switch (f.code) {
     case net::kFaultCodeProcessCrash:
-      h.crash(f.a);
+      if (f.a < n) h.crash(f.a);
       break;
     case net::kFaultCodeProcessRecover:
-      h.recover(f.a);
+      if (f.a < n) h.recover(f.a);
       break;
-    case net::kFaultCodePartition:
-      h.partition(f.mask);
+    case net::kFaultCodePartition: {
+      if (n > 64) break;
+      const std::uint64_t all =
+          n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
+      const std::uint64_t side = f.mask & all;
+      if (side != 0 && side != all) h.partition(f.mask);
       break;
+    }
     case net::kFaultCodePartitionHeal:
       h.heal_partition();
       break;
     default:
-      // Injector kinds; a target that no longer exists (shrunk trace,
-      // drifted state) degrades to a recorded no-op.
       h.faults().inject_targeted(f);
       break;
   }

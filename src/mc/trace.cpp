@@ -1,8 +1,41 @@
 #include "mc/trace.hpp"
 
+#include <cctype>
+#include <charconv>
 #include <sstream>
+#include <string_view>
 
 namespace graybox::mc {
+
+namespace {
+
+/// Whitespace-separated tokens of one line.
+std::vector<std::string_view> split(std::string_view line) {
+  std::vector<std::string_view> out;
+  std::size_t i = 0;
+  while (i < line.size()) {
+    while (i < line.size() &&
+           std::isspace(static_cast<unsigned char>(line[i])))
+      ++i;
+    const std::size_t start = i;
+    while (i < line.size() &&
+           !std::isspace(static_cast<unsigned char>(line[i])))
+      ++i;
+    if (i > start) out.push_back(line.substr(start, i - start));
+  }
+  return out;
+}
+
+/// The whole token as a decimal unsigned value that fits T; no sign, no
+/// trailing characters.
+template <typename T>
+bool parse(std::string_view token, T& out) {
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
+
+}  // namespace
 
 std::string ScheduleTrace::to_text() const {
   std::ostringstream out;
@@ -30,23 +63,24 @@ std::optional<ScheduleTrace> ScheduleTrace::from_text(
   ScheduleTrace trace;
   std::string line;
   while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::istringstream ls(line);
-    std::string key;
-    ls >> key;
-    if (key == "seed") {
-      if (!(ls >> trace.seed)) return std::nullopt;
-    } else if (key == "choices") {
-      std::uint32_t c;
-      while (ls >> c) trace.choices.push_back(c);
-    } else if (key == "fault") {
+    const std::vector<std::string_view> tok = split(line);
+    if (tok.empty()) continue;
+    if (tok[0] == "seed") {
+      if (tok.size() != 2 || !parse(tok[1], trace.seed)) return std::nullopt;
+    } else if (tok[0] == "choices") {
+      for (std::size_t i = 1; i < tok.size(); ++i) {
+        std::uint32_t c;
+        if (!parse(tok[i], c)) return std::nullopt;
+        trace.choices.push_back(c);
+      }
+    } else if (tok[0] == "fault") {
       FaultAt f;
-      unsigned code;
-      if (!(ls >> f.at_event >> code >> f.fault.a >> f.fault.b >>
-            f.fault.index >> f.fault.index2 >> f.fault.mask))
+      if (tok.size() != 8 || !parse(tok[1], f.at_event) ||
+          !parse(tok[2], f.fault.code) || !parse(tok[3], f.fault.a) ||
+          !parse(tok[4], f.fault.b) || !parse(tok[5], f.fault.index) ||
+          !parse(tok[6], f.fault.index2) || !parse(tok[7], f.fault.mask) ||
+          f.fault.code >= net::kFaultCodeCount)
         return std::nullopt;
-      if (code > 0xff) return std::nullopt;
-      f.fault.code = static_cast<std::uint8_t>(code);
       trace.faults.push_back(f);
     } else {
       return std::nullopt;

@@ -55,6 +55,9 @@ struct ScheduleTrace {
   ///   seed <n>
   ///   choices <c0> <c1> ...        (omitted when empty)
   ///   fault <at_event> <code> <a> <b> <index> <index2> <mask>
+  /// from_text rejects (nullopt) anything else: a wrong header, an unknown
+  /// key, a missing or extra token, a token that is not a decimal unsigned
+  /// value fitting its field, or a fault code >= net::kFaultCodeCount.
   std::string to_text() const;
   static std::optional<ScheduleTrace> from_text(const std::string& text);
 };

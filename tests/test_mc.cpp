@@ -45,6 +45,34 @@ TEST(ScheduleTrace, FromTextRejectsGarbage) {
   EXPECT_FALSE(ScheduleTrace::from_text("not a trace\n").has_value());
   EXPECT_FALSE(ScheduleTrace::from_text("graybox-mc-trace v9\nseed 1\n")
                    .has_value());
+  const std::string header = "graybox-mc-trace v1\n";
+  for (const char* body : {
+           "seed 5 junk\n",              // trailing token
+           "seed\n",                     // missing value
+           "seed -1\n",                  // signed
+           "seed 0x10\n",                // not decimal
+           "seed 18446744073709551616\n",  // 2^64 overflows
+           "choices 1 x 2\n",            // non-numeric entry
+           "choices 1 2x\n",             // partial number
+           "choices 4294967296\n",       // overflows uint32
+           "fault 10 7 1 0 0 0\n",       // missing token
+           "fault 10 7 1 0 0 0 0 0\n",   // trailing token
+           "fault 10 11 0 0 0 0 0\n",    // code == kFaultCodeCount
+           "fault 10 300 0 0 0 0 0\n",   // code overflows uint8
+           "fault 10 1 0 0 -1 0 0\n",    // signed index
+           "bogus 1\n",                  // unknown key
+       }) {
+    EXPECT_FALSE(ScheduleTrace::from_text(header + body).has_value()) << body;
+  }
+  // Well-formed lines stay accepted, including out-of-range targets: the
+  // explorer degrades those to no-ops at replay time.
+  const auto ok = ScheduleTrace::from_text(
+      header + "seed 5\nchoices 1 0 2\nfault 10 7 99 0 0 0 0\n");
+  ASSERT_TRUE(ok.has_value());
+  EXPECT_EQ(ok->seed, 5u);
+  EXPECT_EQ(ok->choices, (std::vector<std::uint32_t>{1, 0, 2}));
+  ASSERT_EQ(ok->faults.size(), 1u);
+  EXPECT_EQ(ok->faults[0].fault.a, 99u);
 }
 
 TEST(ScheduleTrace, StepsCountsFaultsAndNonDefaultChoices) {
@@ -103,6 +131,36 @@ TEST(Explorer, OutOfRangeChoicesAreClampedNotFatal) {
   const Outcome b = ex.execute(t);
   EXPECT_EQ(a.digest, b.digest);
   EXPECT_FALSE(a.bug);
+}
+
+TEST(Explorer, LifecycleFaultsOnMissingTargetsAreNoOps) {
+  register_mutants();
+  Explorer ex(small_config("ricart-agrawala", true, 30.0));
+  ScheduleTrace clean;
+  clean.seed = 5;
+  const Outcome baseline = ex.execute(clean);
+  // Crash/recover of a pid >= n, and partition masks that do not cut the
+  // n processes (empty, everyone on one side): no abort, nothing applied.
+  auto fault = [](std::uint8_t code, ProcessId a, std::uint64_t mask) {
+    FaultAt f;
+    f.at_event = 10;
+    f.fault.code = code;
+    f.fault.a = a;
+    f.fault.mask = mask;
+    return f;
+  };
+  for (const FaultAt& f :
+       {fault(net::kFaultCodeProcessCrash, 99, 0),
+        fault(net::kFaultCodeProcessRecover, 99, 0),
+        fault(net::kFaultCodePartition, kNoProcess, 0),
+        fault(net::kFaultCodePartition, kNoProcess, 0b11),
+        fault(net::kFaultCodePartition, kNoProcess, 0b1100)}) {
+    ScheduleTrace t = clean;
+    t.faults.push_back(f);
+    const Outcome o = ex.execute(t);
+    EXPECT_EQ(o.digest, baseline.digest) << t.to_text();
+    EXPECT_EQ(o.executed_events, baseline.executed_events);
+  }
 }
 
 // --- Mutation detection ------------------------------------------------------
