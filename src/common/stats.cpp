@@ -9,31 +9,30 @@
 namespace graybox {
 
 void Accumulator::add(double x) {
-  if (count_ == 0) {
+  if (samples_.empty()) {
     min_ = max_ = x;
   } else {
     if (x < min_) min_ = x;
     if (x > max_) max_ = x;
   }
   samples_.push_back(x);
-  ++count_;
   sum_ += x;
-  const double n = static_cast<double>(count_);
+  const double n = static_cast<double>(samples_.size());
   const double delta = x - mean_;
   mean_ += delta / n;
   m2_ += delta * (x - mean_);
 }
 
-double Accumulator::mean() const { return count_ == 0 ? 0.0 : mean_; }
+double Accumulator::mean() const { return empty() ? 0.0 : mean_; }
 
 double Accumulator::stddev() const {
-  if (count_ < 2) return 0.0;
-  return std::sqrt(m2_ / static_cast<double>(count_ - 1));
+  if (count() < 2) return 0.0;
+  return std::sqrt(m2_ / static_cast<double>(count() - 1));
 }
 
-double Accumulator::min() const { return count_ == 0 ? 0.0 : min_; }
+double Accumulator::min() const { return empty() ? 0.0 : min_; }
 
-double Accumulator::max() const { return count_ == 0 ? 0.0 : max_; }
+double Accumulator::max() const { return empty() ? 0.0 : max_; }
 
 double Accumulator::percentile(double q) const {
   GBX_EXPECTS(q >= 0.0 && q <= 100.0);

@@ -19,8 +19,8 @@ class Accumulator {
  public:
   void add(double x);
 
-  std::size_t count() const { return count_; }
-  bool empty() const { return count_ == 0; }
+  std::size_t count() const { return samples_.size(); }
+  bool empty() const { return samples_.empty(); }
   double mean() const;
   double stddev() const;  ///< Sample standard deviation (n-1); 0 if n < 2.
   double min() const;
@@ -32,11 +32,8 @@ class Accumulator {
   double percentile(double q) const;
   double median() const { return percentile(50.0); }
 
-  const std::vector<double>& samples() const { return samples_; }
-
  private:
   std::vector<double> samples_;
-  std::size_t count_ = 0;
   double mean_ = 0.0;
   double m2_ = 0.0;
   double sum_ = 0.0;

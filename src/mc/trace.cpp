@@ -1,6 +1,5 @@
 #include "mc/trace.hpp"
 
-#include <cctype>
 #include <charconv>
 #include <sstream>
 #include <string_view>
@@ -8,23 +7,6 @@
 namespace graybox::mc {
 
 namespace {
-
-/// Whitespace-separated tokens of one line.
-std::vector<std::string_view> split(std::string_view line) {
-  std::vector<std::string_view> out;
-  std::size_t i = 0;
-  while (i < line.size()) {
-    while (i < line.size() &&
-           std::isspace(static_cast<unsigned char>(line[i])))
-      ++i;
-    const std::size_t start = i;
-    while (i < line.size() &&
-           !std::isspace(static_cast<unsigned char>(line[i])))
-      ++i;
-    if (i > start) out.push_back(line.substr(start, i - start));
-  }
-  return out;
-}
 
 /// The whole token as a decimal unsigned value that fits T; no sign, no
 /// trailing characters.
@@ -63,7 +45,9 @@ std::optional<ScheduleTrace> ScheduleTrace::from_text(
   ScheduleTrace trace;
   std::string line;
   while (std::getline(in, line)) {
-    const std::vector<std::string_view> tok = split(line);
+    std::istringstream ls(line);
+    std::vector<std::string> tok;
+    for (std::string t; ls >> t;) tok.push_back(std::move(t));
     if (tok.empty()) continue;
     if (tok[0] == "seed") {
       if (tok.size() != 2 || !parse(tok[1], trace.seed)) return std::nullopt;
