@@ -161,6 +161,10 @@ TEST(Explorer, LifecycleFaultsOnMissingTargetsAreNoOps) {
     EXPECT_EQ(o.digest, baseline.digest) << t.to_text();
     EXPECT_EQ(o.executed_events, baseline.executed_events);
   }
+  // A target that exists is still applied.
+  ScheduleTrace crash0 = clean;
+  crash0.faults.push_back(fault(net::kFaultCodeProcessCrash, 0, 0));
+  EXPECT_NE(ex.execute(crash0).digest, baseline.digest);
 }
 
 // --- Mutation detection ------------------------------------------------------
