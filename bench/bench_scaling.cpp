@@ -18,9 +18,8 @@
 // events/sec. Both halves live in this binary so the comparison is one
 // build, one machine, one invocation — PR 6's bench_substrate_micro style.
 //
-// N > 64 cells use random fault bursts only: partition streams are capped
-// at 64 processes (SystemHarness::partition's uint64 masks) and E14 does
-// not request them.
+// Every cell uses random fault bursts only; E14 requests no sustained
+// crash or partition streams (an E12-at-scale column is still open).
 //
 // The JSON artifact is byte-identical across --jobs values modulo the
 // volatile (wall/ns) lines — pinned by the CI smoke run (--nmax 64

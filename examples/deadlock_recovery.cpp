@@ -34,7 +34,6 @@ int main(int argc, char** argv) {
 
   sim::Scheduler sched;
   obs::EventBus bus(sched, 4096);
-  bus.set_fault_kind_names(net::fault_kind_names());
 
   net::Network net(sched, 2, net::DelayModel::fixed(1), Rng(3));
   net.set_event_bus(&bus);

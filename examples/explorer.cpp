@@ -245,7 +245,7 @@ int main(int argc, char** argv) {
     Table blast({"id", "fault", "origin", "injected", "procs tainted",
                  "msgs tainted", "violations", "containment"});
     for (const obs::BlastRadius& b : prov.blast()) {
-      blast.row(b.id, net::fault_code_name(b.code),
+      blast.row(b.id, obs::fault_code_name(b.code),
                 b.origin == kNoProcess ? std::string("-")
                                        : std::to_string(b.origin),
                 b.injected_at, b.processes_tainted, b.messages_tainted,

@@ -77,7 +77,6 @@ SystemHarness::SystemHarness(HarnessConfig config)
   // attached: its aggregates hold the run's fault and violation facts, and
   // trace_capacity only sizes the retained ring.
   bus_ = std::make_unique<obs::EventBus>(sched_, config_.trace_capacity);
-  bus_->set_fault_kind_names(net::fault_kind_names());
 
   // Causal provenance: one tracker per harness when enabled; producers all
   // hold the same nullable pointer (null = disabled, a predicted branch).
@@ -171,7 +170,9 @@ SystemHarness::SystemHarness(HarnessConfig config)
   net::FaultProcess::Callbacks lifecycle;
   lifecycle.crash = [this](ProcessId pid) { return crash(pid); };
   lifecycle.recover = [this](ProcessId pid) { recover(pid); };
-  lifecycle.partition = [this](std::uint64_t mask) { return partition(mask); };
+  lifecycle.partition = [this](const std::vector<char>& side) {
+    return partition(side);
+  };
   lifecycle.heal = [this] { heal_partition(); };
   fault_load_ = std::make_unique<net::FaultProcess>(
       sched_, *faults_, config_.n, config_.fault_process, fault_load_rng,
@@ -344,21 +345,20 @@ bool SystemHarness::recover(ProcessId pid) {
   return true;
 }
 
-bool SystemHarness::partition(std::uint64_t mask) {
-  GBX_EXPECTS(config_.n <= 64);
-  const std::uint64_t all = config_.n >= 64
-                                ? ~std::uint64_t{0}
-                                : (std::uint64_t{1} << config_.n) - 1;
-  GBX_EXPECTS((mask & all) != 0 && (mask & all) != all);
-  if (net_->partition_mask() != 0) return false;
-  net_->set_partition(mask & all);
+bool SystemHarness::partition(const std::vector<char>& side) {
+  GBX_EXPECTS(side.size() == config_.n);
+  const auto on_side_0 = std::count(side.begin(), side.end(), 0);
+  GBX_EXPECTS(on_side_0 > 0 &&
+              on_side_0 < static_cast<std::ptrdiff_t>(side.size()));
+  if (net_->partitioned()) return false;
+  net_->set_partition(side);
   note_lifecycle(net::kFaultCodePartition, kNoProcess);
   return true;
 }
 
 bool SystemHarness::heal_partition() {
-  if (net_->partition_mask() == 0) return false;
-  net_->set_partition(0);
+  if (!net_->partitioned()) return false;
+  net_->set_partition({});
   note_lifecycle(net::kFaultCodePartitionHeal, kNoProcess);
   return true;
 }
@@ -466,7 +466,7 @@ RunStats SystemHarness::stats() const {
   stats.sent_request = net_->sent_of_type(net::MsgType::kRequest);
   stats.sent_reply = net_->sent_of_type(net::MsgType::kReply);
   stats.sent_release = net_->sent_of_type(net::MsgType::kRelease);
-  const std::vector<obs::KindStats>& fault_stats = bus_->fault_stats();
+  const auto& fault_stats = bus_->fault_stats();
   stats.faults_injected =
       bus_->kind_stats(obs::EventKind::kFaultInjected).count;
   const lspec::TmeMonitors& tm = tme_handles_;
@@ -533,11 +533,11 @@ obs::MetricsSnapshot SystemHarness::metrics_view(
   m.push_back(MetricSample::counter("wrapper_resends", resends));
   m.push_back(MetricSample::counter("level1_corrections",
                                     stats.level1_corrections));
-  const std::vector<obs::KindStats>& fault_stats = bus_->fault_stats();
-  for (std::size_t k = 0; k < net::kFaultCodeCount; ++k) {
+  const auto& fault_stats = bus_->fault_stats();
+  for (std::size_t k = 0; k < fault_stats.size(); ++k) {
     m.push_back(MetricSample::counter(
         std::string("faults.") +
-            net::fault_code_name(static_cast<std::uint8_t>(k)),
+            obs::fault_code_name(static_cast<std::uint8_t>(k)),
         fault_stats[k].count));
   }
   for (const auto& [name, total] :

@@ -266,13 +266,13 @@ class SystemHarness {
   bool recover(ProcessId pid);
   bool crashed(ProcessId pid) const { return crashed_[pid] != 0; }
 
-  /// Install a bipartition (bit p of `mask` = p's side; cross-side sends
-  /// are lost). One partition at a time: returns false while one is
-  /// active. `mask` must cut both ways (not 0, not all-ones).
-  bool partition(std::uint64_t mask);
+  /// Install a bipartition (side[p] != 0 puts p on side 1; cross-side
+  /// sends are lost). One partition at a time: returns false while one is
+  /// active. `side` names every process (size n) and must cut both ways.
+  bool partition(const std::vector<char>& side);
   /// Reconnect everyone. Returns false if no partition was active.
   bool heal_partition();
-  bool partitioned() const { return net_->partition_mask() != 0; }
+  bool partitioned() const { return net_->partitioned(); }
 
   me::TmeProcess& process(ProcessId pid);
   me::Client& client(ProcessId pid);

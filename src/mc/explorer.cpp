@@ -94,11 +94,14 @@ void Explorer::apply_fault(core::SystemHarness& h,
       if (f.a < n) h.recover(f.a);
       break;
     case net::kFaultCodePartition: {
-      if (n > 64) break;
-      const std::uint64_t all =
-          n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
-      const std::uint64_t side = f.mask & all;
-      if (side != 0 && side != all) h.partition(f.mask);
+      // Mask bit p is pid p's side; pids >= 64 sit on side 0.
+      std::vector<char> side(n, 0);
+      std::size_t on_side_1 = 0;
+      for (std::size_t p = 0; p < std::min<std::size_t>(n, 64); ++p) {
+        side[p] = static_cast<char>((f.mask >> p) & 1u);
+        on_side_1 += side[p];
+      }
+      if (on_side_1 != 0 && on_side_1 != n) h.partition(side);
       break;
     }
     case net::kFaultCodePartitionHeal:
@@ -177,8 +180,9 @@ void Explorer::record_fault_menu(core::SystemHarness& h, std::uint64_t ec,
       f.a = pid;
       menu.push_back(f);
     }
-    if (n >= 2 && n <= 64) {
-      for (ProcessId pid = 0; pid < n && menu.size() < cap; ++pid) {
+    if (n >= 2) {
+      const std::size_t maskable = std::min<std::size_t>(n, 64);
+      for (ProcessId pid = 0; pid < maskable && menu.size() < cap; ++pid) {
         net::TargetedFault f;
         f.code = net::kFaultCodePartition;
         f.mask = std::uint64_t{1} << pid;
@@ -497,7 +501,7 @@ std::string Explorer::explain(const ScheduleTrace& trace) {
     out << "blast radius:\n";
     for (const obs::BlastRadius& b : h.provenance()->blast()) {
       out << "  id=" << b.id << " code="
-          << net::fault_code_name(b.code) << " at=" << b.injected_at
+          << obs::fault_code_name(b.code) << " at=" << b.injected_at
           << " processes=" << b.processes_tainted
           << " messages=" << b.messages_tainted
           << " violations=" << b.violations_attributed

@@ -1,53 +1,10 @@
 #include "net/fault_injector.hpp"
 
+#include <tuple>
+
 #include "common/contracts.hpp"
 
 namespace graybox::net {
-
-const char* to_string(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kMessageDrop:
-      return "message-drop";
-    case FaultKind::kMessageDuplicate:
-      return "message-duplicate";
-    case FaultKind::kMessageCorrupt:
-      return "message-corrupt";
-    case FaultKind::kMessageReorder:
-      return "message-reorder";
-    case FaultKind::kSpuriousMessage:
-      return "spurious-message";
-    case FaultKind::kProcessCorrupt:
-      return "process-corrupt";
-    case FaultKind::kChannelClear:
-      return "channel-clear";
-  }
-  return "unknown-fault";
-}
-
-const char* fault_code_name(std::uint8_t code) {
-  switch (code) {
-    case kFaultCodeProcessCrash:
-      return "process-crash";
-    case kFaultCodeProcessRecover:
-      return "process-recover";
-    case kFaultCodePartition:
-      return "partition";
-    case kFaultCodePartitionHeal:
-      return "partition-heal";
-    default:
-      if (code < kFaultKindCount) return to_string(static_cast<FaultKind>(code));
-      return "unknown-fault";
-  }
-}
-
-std::vector<std::string> fault_kind_names() {
-  std::vector<std::string> names;
-  names.reserve(kFaultCodeCount);
-  for (std::size_t i = 0; i < kFaultCodeCount; ++i) {
-    names.emplace_back(fault_code_name(static_cast<std::uint8_t>(i)));
-  }
-  return names;
-}
 
 FaultMix FaultMix::all() {
   FaultMix mix;
@@ -136,21 +93,40 @@ FaultInjector::FaultInjector(sim::Scheduler& sched, Network& net, Rng rng,
       rng_(rng),
       corrupt_process_(std::move(corrupt_process)) {}
 
-FaultInjector::Target FaultInjector::pick_in_flight() {
+bool FaultInjector::draw_message(TargetedFault& f) {
   const std::size_t total = net_.in_flight();
-  if (total == 0) return Target{nullptr, 0};
+  if (total == 0) return false;
   std::size_t pick = rng_.index(total);
   const std::size_t n = net_.size();
   for (ProcessId from = 0; from < n; ++from) {
     for (ProcessId to = 0; to < n; ++to) {
       if (from == to) continue;
-      Channel& ch = net_.channel(from, to);
-      if (pick < ch.in_flight()) return Target{&ch, pick};
-      pick -= ch.in_flight();
+      const std::size_t len = net_.channel(from, to).in_flight();
+      if (pick < len) {
+        f.a = from;
+        f.b = to;
+        f.index = static_cast<std::uint32_t>(pick);
+        return true;
+      }
+      pick -= len;
     }
   }
   GBX_ASSERT(false && "in_flight total inconsistent with channels");
-  return Target{nullptr, 0};
+  return false;
+}
+
+bool FaultInjector::draw_channel(std::size_t min_in_flight, TargetedFault& f) {
+  std::vector<std::pair<ProcessId, ProcessId>> eligible;
+  const std::size_t n = net_.size();
+  for (ProcessId from = 0; from < n; ++from) {
+    for (ProcessId to = 0; to < n; ++to) {
+      if (from != to && net_.channel(from, to).in_flight() >= min_in_flight)
+        eligible.emplace_back(from, to);
+    }
+  }
+  if (eligible.empty()) return false;
+  std::tie(f.a, f.b) = eligible[rng_.index(eligible.size())];
+  return true;
 }
 
 std::pair<ProcessId, ProcessId> FaultInjector::pick_pair() {
@@ -221,193 +197,112 @@ void FaultInjector::taint_in_flight(Channel& ch, std::size_t index,
 }
 
 bool FaultInjector::inject(FaultKind kind) {
-  ProcessId fault_pid = kNoProcess;
-  std::uint64_t dropped = 0;
-  obs::ProvenanceId id = obs::kNoProvenance;
+  TargetedFault f;
+  f.code = static_cast<std::uint8_t>(kind);
   switch (kind) {
-    case FaultKind::kMessageDrop: {
-      Target t = pick_in_flight();
-      if (t.channel == nullptr) return false;
-      t.channel->fault_drop(t.index);
-      // The carrier is destroyed; the minted id only marks the injection
-      // (its blast radius is the silence the drop causes, not spread).
-      id = mint(kind);
-      dropped = 1;
+    case FaultKind::kMessageDrop:
+    case FaultKind::kMessageDuplicate:
+    case FaultKind::kMessageCorrupt:
+      if (!draw_message(f)) return false;
       break;
-    }
-    case FaultKind::kMessageDuplicate: {
-      Target t = pick_in_flight();
-      if (t.channel == nullptr) return false;
-      t.channel->fault_duplicate(t.index);
-      // The duplicate (placed right behind the original) is the faulty
-      // artifact; the original message stays clean.
-      id = mint(kind);
-      taint_in_flight(*t.channel, t.index + 1, id);
-      break;
-    }
-    case FaultKind::kMessageCorrupt: {
-      Target t = pick_in_flight();
-      if (t.channel == nullptr) return false;
-      const Message& original = t.channel->contents()[t.index];
-      Message corrupted = random_message(original.from, original.to);
-      t.channel->fault_corrupt(t.index, corrupted);
-      id = mint(kind);
-      taint_in_flight(*t.channel, t.index, id);
-      break;
-    }
     case FaultKind::kMessageReorder: {
       // Reorder needs a channel holding at least two messages; pick among
-      // those (weighted by backlog) rather than failing on a random pick.
-      std::vector<Channel*> eligible;
-      const std::size_t n = net_.size();
-      for (ProcessId from = 0; from < n; ++from) {
-        for (ProcessId to = 0; to < n; ++to) {
-          if (from == to) continue;
-          Channel& ch = net_.channel(from, to);
-          if (ch.in_flight() >= 2) eligible.push_back(&ch);
-        }
-      }
-      if (eligible.empty()) return false;
-      Channel& ch = *eligible[rng_.index(eligible.size())];
-      const std::size_t a = rng_.index(ch.in_flight());
-      std::size_t b = rng_.index(ch.in_flight() - 1);
-      if (b >= a) ++b;
-      ch.fault_swap(a, b);
-      // Both swapped messages are now out of FIFO order.
-      id = mint(kind);
-      taint_in_flight(ch, a, id);
-      taint_in_flight(ch, b, id);
+      // those rather than failing on a random pick.
+      if (!draw_channel(2, f)) return false;
+      const std::size_t len = net_.channel(f.a, f.b).in_flight();
+      f.index = static_cast<std::uint32_t>(rng_.index(len));
+      f.index2 = static_cast<std::uint32_t>(rng_.index(len - 1));
+      if (f.index2 >= f.index) ++f.index2;
       break;
     }
-    case FaultKind::kSpuriousMessage: {
+    case FaultKind::kSpuriousMessage:
       if (net_.size() < 2) return false;
-      const auto [from, to] = pick_pair();
-      Message fabricated = random_message(from, to);
-      id = mint(kind);
-      if (id != obs::kNoProvenance) {
-        fabricated.taint.add(id);
-        prov_->note_message_taint(fabricated.taint);
-      }
-      net_.channel(from, to).fault_inject(fabricated);
+      std::tie(f.a, f.b) = pick_pair();
       break;
-    }
-    case FaultKind::kProcessCorrupt: {
+    case FaultKind::kProcessCorrupt:
       if (corrupt_process_ == nullptr) return false;
-      const auto pid = static_cast<ProcessId>(rng_.index(net_.size()));
-      corrupt_process_(pid, rng_);
-      fault_pid = pid;
-      id = mint(kind, pid);
-      if (prov_ != nullptr) prov_->taint_process(pid, id);
+      f.a = static_cast<ProcessId>(rng_.index(net_.size()));
       break;
-    }
-    case FaultKind::kChannelClear: {
+    case FaultKind::kChannelClear:
       // Clearing an empty channel perturbs nothing; only nonempty channels
       // are targets, so a false return really means "no fault applied".
-      std::vector<Channel*> eligible;
-      const std::size_t n = net_.size();
-      for (ProcessId from = 0; from < n; ++from) {
-        for (ProcessId to = 0; to < n; ++to) {
-          if (from == to) continue;
-          Channel& ch = net_.channel(from, to);
-          if (!ch.empty()) eligible.push_back(&ch);
-        }
-      }
-      if (eligible.empty()) return false;
-      Channel& ch = *eligible[rng_.index(eligible.size())];
-      dropped = ch.in_flight();
-      ch.fault_clear();
-      id = mint(kind);
+      if (!draw_channel(1, f)) return false;
       break;
-    }
   }
-  note(kind, fault_pid, dropped, id);
-  return true;
+  return inject_targeted(f);
 }
 
 bool FaultInjector::inject_targeted(const TargetedFault& f) {
   if (f.code >= kFaultKindCount) return false;
   const auto kind = static_cast<FaultKind>(f.code);
-  ProcessId fault_pid = kNoProcess;
+  const std::size_t n = net_.size();
+  if (kind == FaultKind::kProcessCorrupt) {
+    if (corrupt_process_ == nullptr || f.a >= n) return false;
+    corrupt_process_(f.a, rng_);
+    const obs::ProvenanceId id = mint(kind, f.a);
+    if (prov_ != nullptr) prov_->taint_process(f.a, id);
+    note(kind, f.a, 0, id);
+    return true;
+  }
+  if (f.a >= n || f.b >= n || f.a == f.b) return false;
+  Channel& ch = net_.channel(f.a, f.b);
+  const std::size_t len = ch.in_flight();
   std::uint64_t dropped = 0;
   obs::ProvenanceId id = obs::kNoProvenance;
   switch (kind) {
-    case FaultKind::kMessageDrop: {
-      if (f.a >= net_.size() || f.b >= net_.size() || f.a == f.b)
-        return false;
-      Channel& ch = net_.channel(f.a, f.b);
-      if (f.index >= ch.in_flight()) return false;
+    case FaultKind::kMessageDrop:
+      if (f.index >= len) return false;
       ch.fault_drop(f.index);
+      // The carrier is destroyed; the minted id only marks the injection
+      // (its blast radius is the silence the drop causes, not spread).
       id = mint(kind);
       dropped = 1;
       break;
-    }
-    case FaultKind::kMessageDuplicate: {
-      if (f.a >= net_.size() || f.b >= net_.size() || f.a == f.b)
-        return false;
-      Channel& ch = net_.channel(f.a, f.b);
-      if (f.index >= ch.in_flight()) return false;
+    case FaultKind::kMessageDuplicate:
+      if (f.index >= len) return false;
       ch.fault_duplicate(f.index);
+      // The duplicate (placed right behind the original) is the faulty
+      // artifact; the original message stays clean.
       id = mint(kind);
       taint_in_flight(ch, f.index + 1, id);
       break;
-    }
     case FaultKind::kMessageCorrupt: {
-      if (f.a >= net_.size() || f.b >= net_.size() || f.a == f.b)
-        return false;
-      Channel& ch = net_.channel(f.a, f.b);
-      if (f.index >= ch.in_flight()) return false;
+      if (f.index >= len) return false;
       const Message& original = ch.contents()[f.index];
-      Message corrupted = random_message(original.from, original.to);
-      ch.fault_corrupt(f.index, corrupted);
+      ch.fault_corrupt(f.index, random_message(original.from, original.to));
       id = mint(kind);
       taint_in_flight(ch, f.index, id);
       break;
     }
-    case FaultKind::kMessageReorder: {
-      if (f.a >= net_.size() || f.b >= net_.size() || f.a == f.b)
-        return false;
-      Channel& ch = net_.channel(f.a, f.b);
-      if (f.index == f.index2 || f.index >= ch.in_flight() ||
-          f.index2 >= ch.in_flight())
+    case FaultKind::kMessageReorder:
+      if (f.index == f.index2 || f.index >= len || f.index2 >= len)
         return false;
       ch.fault_swap(f.index, f.index2);
+      // Both swapped messages are now out of FIFO order.
       id = mint(kind);
       taint_in_flight(ch, f.index, id);
       taint_in_flight(ch, f.index2, id);
       break;
-    }
     case FaultKind::kSpuriousMessage: {
-      if (f.a >= net_.size() || f.b >= net_.size() || f.a == f.b)
-        return false;
       Message fabricated = random_message(f.a, f.b);
       id = mint(kind);
       if (id != obs::kNoProvenance) {
         fabricated.taint.add(id);
         prov_->note_message_taint(fabricated.taint);
       }
-      net_.channel(f.a, f.b).fault_inject(fabricated);
+      ch.fault_inject(fabricated);
       break;
     }
-    case FaultKind::kProcessCorrupt: {
-      if (corrupt_process_ == nullptr || f.a >= net_.size()) return false;
-      corrupt_process_(f.a, rng_);
-      fault_pid = f.a;
-      id = mint(kind, f.a);
-      if (prov_ != nullptr) prov_->taint_process(f.a, id);
-      break;
-    }
-    case FaultKind::kChannelClear: {
-      if (f.a >= net_.size() || f.b >= net_.size() || f.a == f.b)
-        return false;
-      Channel& ch = net_.channel(f.a, f.b);
-      if (ch.empty()) return false;
-      dropped = ch.in_flight();
+    case FaultKind::kChannelClear:
+      if (len == 0) return false;
+      dropped = len;
       ch.fault_clear();
       id = mint(kind);
       break;
-    }
+    case FaultKind::kProcessCorrupt:  // applied above
+      break;
   }
-  note(kind, fault_pid, dropped, id);
+  note(kind, kNoProcess, dropped, id);
   return true;
 }
 

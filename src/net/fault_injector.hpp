@@ -8,8 +8,11 @@
 // The injector perturbs channels directly and perturbs process state via a
 // callback supplied by the harness (the process layer sits above this one).
 // Every perturbation draws from a seeded RNG, so an adversarial run is
-// replayable. The injector records the time of the last injected fault;
-// stabilization latency is always measured from that instant.
+// replayable. Every fault is applied by one function, inject_targeted: a
+// random fault (inject) only draws its target, and the model checker and a
+// replayed trace name theirs. The injector records the time of the last
+// injected fault; stabilization latency is always measured from that
+// instant.
 #pragma once
 
 #include <array>
@@ -23,6 +26,9 @@
 
 namespace graybox::net {
 
+/// The injector's fault kinds: fault codes 0..6 of the observability
+/// bus's code space (obs/event.hpp), which appends the harness-driven
+/// lifecycle codes after them.
 enum class FaultKind : std::uint8_t {
   kMessageDrop = 0,
   kMessageDuplicate,
@@ -33,27 +39,21 @@ enum class FaultKind : std::uint8_t {
   kChannelClear,
 };
 inline constexpr std::size_t kFaultKindCount = 7;
+static_assert(static_cast<std::size_t>(FaultKind::kChannelClear) + 1 ==
+                  kFaultKindCount,
+              "FaultKind must cover fault codes 0..6");
+static_assert(kFaultKindCount == obs::kFaultCodeProcessCrash,
+              "the lifecycle fault codes follow the FaultKind codes");
 
-const char* to_string(FaultKind kind);
+using obs::kFaultCodeCount;
+using obs::kFaultCodePartition;
+using obs::kFaultCodePartitionHeal;
+using obs::kFaultCodeProcessCrash;
+using obs::kFaultCodeProcessRecover;
 
-/// Lifecycle faults of the sustained-load subsystem (the paper's §3.1
-/// "processes ... fail, recover" plus network partitions). They are not
-/// FaultKind values — the one-shot injector cannot apply them; the harness
-/// drives them — but they share the observability bus's fault-code space,
-/// appended after the injector's kinds so kFaultInjected events cover both.
-inline constexpr std::uint8_t kFaultCodeProcessCrash = 7;
-inline constexpr std::uint8_t kFaultCodeProcessRecover = 8;
-inline constexpr std::uint8_t kFaultCodePartition = 9;
-inline constexpr std::uint8_t kFaultCodePartitionHeal = 10;
-/// Total fault codes: FaultKind values plus the lifecycle codes above.
-inline constexpr std::size_t kFaultCodeCount = 11;
-
-/// Name of any fault code (FaultKind values and lifecycle codes).
-const char* fault_code_name(std::uint8_t code);
-
-/// All fault code names in code order — the name table the observability
-/// bus indexes kFaultInjected events with (kFaultCodeCount entries).
-std::vector<std::string> fault_kind_names();
+inline const char* to_string(FaultKind kind) {
+  return obs::fault_code_name(static_cast<std::uint8_t>(kind));
+}
 
 /// Which fault kinds an adversary may use.
 struct FaultMix {
@@ -90,7 +90,8 @@ struct TargetedFault {
   std::uint32_t index = 0;
   /// Second in-flight index (reorder swaps index <-> index2).
   std::uint32_t index2 = 0;
-  /// Bipartition mask (kFaultCodePartition only).
+  /// Bipartition mask (kFaultCodePartition only): bit p puts process p on
+  /// side 1. Processes with pid >= 64 sit on side 0.
   std::uint64_t mask = 0;
 };
 
@@ -103,9 +104,10 @@ class FaultInjector {
   FaultInjector(sim::Scheduler& sched, Network& net, Rng rng,
                 CorruptProcessFn corrupt_process);
 
-  /// Apply one fault of the given kind right now. Returns false when the
-  /// kind has no applicable target (e.g. a message fault with no message in
-  /// flight); no fault is recorded in that case.
+  /// Apply one fault of the given kind right now: draw a random target,
+  /// then apply it through inject_targeted. Returns false when the kind has
+  /// no applicable target (e.g. a message fault with no message in flight);
+  /// no fault is recorded in that case.
   bool inject(FaultKind kind);
 
   /// Apply one fault of a random enabled kind. Kinds whose targets are
@@ -167,13 +169,12 @@ class FaultInjector {
   }
 
  private:
-  struct Target {
-    Channel* channel;
-    std::size_t index;
-  };
-  /// Pick a uniformly random in-flight message across all channels; null
-  /// channel if none in flight.
-  Target pick_in_flight();
+  /// Draw a uniformly random in-flight message across all channels into
+  /// f.a / f.b / f.index; false if none is in flight.
+  bool draw_message(TargetedFault& f);
+  /// Draw a uniformly random channel holding at least `min_in_flight`
+  /// messages into f.a / f.b; false if there is none.
+  bool draw_channel(std::size_t min_in_flight, TargetedFault& f);
   /// Pick a random ordered process pair (requires n >= 2).
   std::pair<ProcessId, ProcessId> pick_pair();
   clk::Timestamp random_timestamp();

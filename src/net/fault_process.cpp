@@ -14,12 +14,11 @@ FaultProcess::FaultProcess(sim::Scheduler& sched, FaultInjector& injector,
       n_(n),
       config_(config),
       callbacks_(std::move(callbacks)),
-      down_(n, 0) {
+      down_(n, 0),
+      side_(n, 0) {
   GBX_EXPECTS(n_ >= 1);
   GBX_EXPECTS(config_.downtime_mean > 0);
   GBX_EXPECTS(config_.partition_hold_mean > 0);
-  GBX_EXPECTS(config_.partition_mean == 0 ||
-              (n_ <= 64 && "partition streams need n <= 64 (64-bit masks)"));
   // Fixed split order: stream RNGs by index, then lifecycle durations.
   // Nothing the system under test does can perturb these draws.
   for (std::size_t s = 0; s < kStreamCount; ++s) stream_rngs_[s] = rng.split();
@@ -120,21 +119,23 @@ void FaultProcess::fire_crash() {
 
 void FaultProcess::fire_partition() {
   // Same principle: all draws happen unconditionally, then applicability.
-  std::uint64_t mask = 0;
   auto& rng = stream_rngs_[kPartitionStream];
+  std::size_t on_side_1 = 0;
   for (std::size_t pid = 0; pid < n_; ++pid) {
-    if (rng.chance(0.5)) mask |= std::uint64_t{1} << pid;
+    side_[pid] = rng.chance(0.5);
+    on_side_1 += side_[pid];
   }
-  const std::uint64_t all =
-      n_ >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n_) - 1;
   // A degenerate draw (everyone on one side) is not a partition; isolate a
   // single random process instead.
-  if (mask == 0 || mask == all) mask = std::uint64_t{1} << rng.index(n_);
+  if (on_side_1 == 0 || on_side_1 == n_) {
+    std::fill(side_.begin(), side_.end(), 0);
+    side_[rng.index(n_)] = 1;
+  }
   const SimTime hold = std::max<SimTime>(
       1, lifecycle_rng_.exponential(config_.partition_hold_mean));
   if (callbacks_.partition == nullptr) return;
   if (partition_active_) return;
-  if (!callbacks_.partition(mask)) return;
+  if (!callbacks_.partition(side_)) return;
   partition_active_ = true;
   ++partitions_;
   ++arrivals_applied_;

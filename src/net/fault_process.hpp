@@ -96,14 +96,13 @@ class FaultProcess {
   struct Callbacks {
     std::function<bool(ProcessId)> crash;
     std::function<void(ProcessId)> recover;
-    std::function<bool(std::uint64_t)> partition;  // bipartition mask
+    /// Bipartition: side[p] is process p's side (0 or 1).
+    std::function<bool(const std::vector<char>&)> partition;
     std::function<void()> heal;
   };
 
-  /// `n` is the process count (crash targets and partition masks are drawn
+  /// `n` is the process count (crash targets and partition sides are drawn
   /// from it). Streams draw from RNGs split off `rng` in a fixed order.
-  /// A partition stream needs n <= 64 (masks are 64-bit); a larger n with
-  /// partition_mean > 0 fails fast here.
   FaultProcess(sim::Scheduler& sched, FaultInjector& injector, std::size_t n,
                FaultProcessConfig config, Rng rng, Callbacks callbacks = {});
 
@@ -176,6 +175,9 @@ class FaultProcess {
   std::vector<char> down_;
   std::size_t down_count_ = 0;
   bool partition_active_ = false;
+  /// Per process (size n): the side drawn by the latest partition arrival,
+  /// reused so an arrival allocates nothing.
+  std::vector<char> side_;
 };
 
 }  // namespace graybox::net

@@ -148,9 +148,10 @@ void Network::build_stamp(const Channel& ch, Message& msg, ProcessId from) {
   msg.vc = clk::ClockStamp::dense(clock);
 }
 
-void Network::set_partition(std::uint64_t mask) {
-  GBX_EXPECTS(mask == 0 || n_ <= 64);
-  partition_mask_ = mask;
+void Network::set_partition(const std::vector<char>& side) {
+  GBX_EXPECTS(side.empty() || side.size() == n_);
+  partition_side_.assign(side.begin(), side.end());
+  for (char& s : partition_side_) s = s != 0;
 }
 
 void Network::local_event(ProcessId pid) {

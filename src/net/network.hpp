@@ -74,19 +74,19 @@ class Network {
 
   // --- Partitions -------------------------------------------------------
 
-  /// Install a bipartition of the processes: bit `p` of `mask` selects
-  /// process p's side, and sends crossing sides are lost at send time (the
-  /// link is down; the sender still performed its send event). Messages
-  /// already in flight when the partition forms are NOT affected — they
-  /// were on the wire before the cut. Mask 0 (the default) means fully
-  /// connected; requires n <= 64 for a nonzero mask.
-  void set_partition(std::uint64_t mask);
-  std::uint64_t partition_mask() const { return partition_mask_; }
-  /// True when `a` and `b` are currently on opposite partition sides. A
-  /// nonzero mask implies n <= 64, so the shifts stay in range.
+  /// Install a bipartition of the processes: `side[p] != 0` puts process
+  /// p on side 1, and sends crossing sides are lost at send time (the link
+  /// is down; the sender still performed its send event). Messages already
+  /// in flight when the partition forms are NOT affected — they were on
+  /// the wire before the cut. An empty `side` (the default) means fully
+  /// connected; otherwise it names every process (size n).
+  void set_partition(const std::vector<char>& side);
+  /// True while a partition is installed.
+  bool partitioned() const { return !partition_side_.empty(); }
+  /// True when `a` and `b` are currently on opposite partition sides.
   bool partitioned(ProcessId a, ProcessId b) const {
-    return partition_mask_ != 0 &&
-           (((partition_mask_ >> a) ^ (partition_mask_ >> b)) & 1u) != 0;
+    return !partition_side_.empty() &&
+           partition_side_[a] != partition_side_[b];
   }
   /// Messages lost to a partition at send time (accounted like drops).
   std::uint64_t dropped_by_partition() const { return dropped_by_partition_; }
@@ -147,7 +147,8 @@ class Network {
   std::uint64_t next_uid_ = 1;
   /// Shared by all channels; see Channel::set_spurious_uid_counter.
   std::uint64_t next_spurious_uid_ = kSpuriousUidBase;
-  std::uint64_t partition_mask_ = 0;
+  /// Per process: 0 or 1, the partition side; empty when healed.
+  std::vector<char> partition_side_;
   std::uint64_t dropped_by_partition_ = 0;
   std::uint64_t total_sent_ = 0;
   std::uint64_t total_delivered_ = 0;

@@ -12,8 +12,13 @@
 // the kind. No strings are stored; human-readable text is rendered lazily
 // at dump time (EventBus::render), so recording is an aggregate update
 // plus, when a ring is sized, a slot write.
+//
+// This header also owns the fault-code space: the one table of fault codes
+// and their names that the injector, the harness's lifecycle faults, the
+// renderers, the timeline and the metrics all share.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "common/types.hpp"
@@ -28,7 +33,7 @@ enum class EventKind : std::uint8_t {
   kLocalStep,          ///< program transition other than CS enter/exit
   kCsEnter,            ///< h -> e (pid entered the critical section)
   kCsExit,             ///< e -> t (pid left the critical section)
-  kFaultInjected,      ///< FaultInjector applied a fault (a = FaultKind)
+  kFaultInjected,      ///< a fault was applied (a = fault code)
   kWrapperCorrection,  ///< W'j resent REQj to a stale peer (pid -> peer)
   kMonitorViolation,   ///< a spec monitor reported (monitor = index)
   kLocalCorrection,    ///< level-1 wrapper repaired local state (a = pred)
@@ -37,11 +42,19 @@ inline constexpr std::size_t kEventKindCount = 10;
 
 const char* to_string(EventKind kind);
 
-/// Built-in name for a kFaultInjected code when no fault_kind_names table
-/// was registered: the full 11-code space (net::FaultKind 0..6 plus the
-/// lifecycle codes 7..10), mirroring net::fault_code_name. Returns nullptr
-/// for codes beyond the known space.
-const char* fault_code_builtin_name(std::uint8_t code);
+/// The fault-code space of kFaultInjected events (Event::a): the
+/// injector's net::FaultKind values 0..6, then the lifecycle codes the
+/// harness drives (the paper's §3.1 "processes ... fail, recover", plus
+/// network partitions). EventBus::fault_stats() is indexed by it.
+inline constexpr std::uint8_t kFaultCodeProcessCrash = 7;
+inline constexpr std::uint8_t kFaultCodeProcessRecover = 8;
+inline constexpr std::uint8_t kFaultCodePartition = 9;
+inline constexpr std::uint8_t kFaultCodePartitionHeal = 10;
+inline constexpr std::size_t kFaultCodeCount = 11;
+
+/// Name of a fault code ("message-drop" ... "partition-heal"); nullptr for
+/// codes beyond the space.
+const char* fault_code_name(std::uint8_t code);
 
 /// One recorded event. Field meaning by kind:
 ///
@@ -52,8 +65,9 @@ const char* fault_code_builtin_name(std::uint8_t code);
 ///   kLocalStep/kCsEnter/
 ///   kCsExit                 pid = process, a = from-state, b = to-state
 ///                           (me::TmeState codes)
-///   kFaultInjected          a = net::FaultKind code, pid = corrupted
-///                           process (process faults only)
+///   kFaultInjected          a = fault code (see fault_code_name),
+///                           pid = corrupted / crashed / recovered process
+///                           (process faults only)
 ///   kWrapperCorrection      pid = wrapped process, peer = stale peer
 ///   kMonitorViolation       monitor = index in the owning MonitorSet
 ///   kLocalCorrection        pid = repaired process, a = the violated

@@ -32,38 +32,13 @@ const char* to_string(EventKind kind) {
   return "unknown-event";
 }
 
-const char* fault_code_builtin_name(std::uint8_t code) {
-  // Mirrors net::fault_code_name over the full 11-code space (FaultKind
-  // 0..6 + lifecycle 7..10) — duplicated because obs sits below net in the
-  // layering, like the message/state vocabularies below. Keeping the full
-  // table here means renderers and timelines label lifecycle faults
-  // correctly even on a hand-wired bus with no registered name table.
-  switch (code) {
-    case 0:
-      return "message-drop";
-    case 1:
-      return "message-duplicate";
-    case 2:
-      return "message-corrupt";
-    case 3:
-      return "message-reorder";
-    case 4:
-      return "spurious-message";
-    case 5:
-      return "process-corrupt";
-    case 6:
-      return "channel-clear";
-    case 7:
-      return "process-crash";
-    case 8:
-      return "process-recover";
-    case 9:
-      return "partition";
-    case 10:
-      return "partition-heal";
-    default:
-      return nullptr;
-  }
+const char* fault_code_name(std::uint8_t code) {
+  static constexpr const char* kNames[kFaultCodeCount] = {
+      "message-drop",    "message-duplicate", "message-corrupt",
+      "message-reorder", "spurious-message",  "process-corrupt",
+      "channel-clear",   "process-crash",     "process-recover",
+      "partition",       "partition-heal"};
+  return code < kFaultCodeCount ? kNames[code] : nullptr;
 }
 
 namespace {
@@ -134,7 +109,7 @@ void EventBus::note_keyed(const Event& e) {
       e.monitor < monitor_stats_.size()) {
     monitor_stats_[e.monitor].note(e.time);
   }
-  if (e.kind == EventKind::kFaultInjected && e.a < fault_stats_.size()) {
+  if (e.kind == EventKind::kFaultInjected && e.a < kFaultCodeCount) {
     fault_stats_[e.a].note(e.time);
   }
 }
@@ -177,11 +152,6 @@ void EventBus::set_monitor_names(std::vector<std::string> names) {
   monitor_stats_.assign(monitor_names_.size(), KindStats{});
 }
 
-void EventBus::set_fault_kind_names(std::vector<std::string> names) {
-  fault_kind_names_ = std::move(names);
-  fault_stats_.assign(fault_kind_names_.size(), KindStats{});
-}
-
 std::string EventBus::render(const Event& e) const {
   switch (e.kind) {
     case EventKind::kSend:
@@ -197,15 +167,9 @@ std::string EventBus::render(const Event& e) const {
       return "proc " + std::to_string(e.pid) + ": " + state_name(e.a) +
              " -> " + state_name(e.b);
     case EventKind::kFaultInjected: {
-      std::string name;
-      if (e.a < fault_kind_names_.size()) {
-        name = fault_kind_names_[e.a];
-      } else if (const char* builtin = fault_code_builtin_name(e.a)) {
-        name = builtin;
-      } else {
-        name = "fault#" + std::to_string(e.a);
-      }
-      std::string out = "fault " + name;
+      const char* name = fault_code_name(e.a);
+      std::string out = "fault ";
+      out += name != nullptr ? name : "fault#" + std::to_string(e.a);
       if (e.pid != kNoProcess) out += " @proc " + std::to_string(e.pid);
       return out;
     }

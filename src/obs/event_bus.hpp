@@ -14,6 +14,7 @@
 // ever after construction. bench_substrate_micro measures both sides.
 #pragma once
 
+#include <array>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -71,10 +72,13 @@ class EventBus {
   const std::vector<KindStats>& monitor_stats() const {
     return monitor_stats_;
   }
-  /// Per-fault-kind injection aggregates, indexed like fault_kind_names().
-  const std::vector<KindStats>& fault_stats() const { return fault_stats_; }
+  /// Per-fault-code injection aggregates, indexed by fault code
+  /// (kFaultCodeCount entries; fault_code_name labels them).
+  const std::array<KindStats, kFaultCodeCount>& fault_stats() const {
+    return fault_stats_;
+  }
 
-  // --- Name tables (for rendering and timeline labels) ------------------
+  // --- Monitor names (for rendering and timeline labels) ----------------
 
   /// Names of the monitors feeding kMonitorViolation events, in monitor
   /// index order. Also sizes monitor_stats().
@@ -83,19 +87,12 @@ class EventBus {
     return monitor_names_;
   }
 
-  /// Names of the fault kinds feeding kFaultInjected events, indexed by
-  /// the Event::a code. Also sizes fault_stats().
-  void set_fault_kind_names(std::vector<std::string> names);
-  const std::vector<std::string>& fault_kind_names() const {
-    return fault_kind_names_;
-  }
-
   /// Human-readable one-line rendering (no leading "[time]"; dump() adds
   /// it).
   std::string render(const Event& e) const;
 
  private:
-  /// Per-monitor / per-fault-kind aggregate for a keyed event.
+  /// Per-monitor / per-fault-code aggregate for a keyed event.
   void note_keyed(const Event& e);
   void retain(const Event& e);
 
@@ -107,9 +104,8 @@ class EventBus {
   std::uint64_t total_ = 0;
   KindStats kind_stats_[kEventKindCount];
   std::vector<KindStats> monitor_stats_;
-  std::vector<KindStats> fault_stats_;
+  std::array<KindStats, kFaultCodeCount> fault_stats_{};
   std::vector<std::string> monitor_names_;
-  std::vector<std::string> fault_kind_names_;
 };
 
 }  // namespace graybox::obs

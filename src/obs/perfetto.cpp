@@ -159,13 +159,8 @@ report::Json perfetto_trace_json(const EventBus& bus) {
   // slices from enter/exit pairs; an exit whose enter was evicted from the
   // ring degrades to an instant, an enter with no exit stays open to the
   // last retained time.
-  // Lifecycle fault codes are matched by their registered names so this
-  // layer needs no net/ dependency; crash→recover and partition→heal pairs
-  // become "X" slices with the same eviction degradation as CS occupancy.
-  const auto fault_name = [&bus](const Event& e) -> const std::string* {
-    return e.a < bus.fault_kind_names().size() ? &bus.fault_kind_names()[e.a]
-                                               : nullptr;
-  };
+  // Lifecycle faults: crash→recover and partition→heal pairs become "X"
+  // slices with the same eviction degradation as CS occupancy.
   std::map<ProcessId, SimTime> cs_open;
   std::map<ProcessId, SimTime> crash_open;
   SimTime partition_open = kNever;
@@ -174,24 +169,22 @@ report::Json perfetto_trace_json(const EventBus& bus) {
     const Event& e = bus.event(i);
     last_ts = e.time;
     if (e.kind == EventKind::kFaultInjected) {
-      if (const std::string* name = fault_name(e)) {
-        if (*name == "process-crash") {
-          crash_open[e.pid] = e.time;
-        } else if (*name == "process-recover") {
-          auto it = crash_open.find(e.pid);
-          if (it != crash_open.end()) {
-            events.push_back(complete(kPidProcesses, static_cast<int>(e.pid),
-                                      it->second, e.time - it->second,
-                                      "crashed"));
-            crash_open.erase(it);
-          }
-        } else if (*name == "partition") {
-          partition_open = e.time;
-        } else if (*name == "partition-heal" && partition_open != kNever) {
-          events.push_back(complete(kPidNetwork, kTidNetFaults, partition_open,
-                                    e.time - partition_open, "partitioned"));
-          partition_open = kNever;
+      if (e.a == kFaultCodeProcessCrash) {
+        crash_open[e.pid] = e.time;
+      } else if (e.a == kFaultCodeProcessRecover) {
+        auto it = crash_open.find(e.pid);
+        if (it != crash_open.end()) {
+          events.push_back(complete(kPidProcesses, static_cast<int>(e.pid),
+                                    it->second, e.time - it->second,
+                                    "crashed"));
+          crash_open.erase(it);
         }
+      } else if (e.a == kFaultCodePartition) {
+        partition_open = e.time;
+      } else if (e.a == kFaultCodePartitionHeal && partition_open != kNever) {
+        events.push_back(complete(kPidNetwork, kTidNetFaults, partition_open,
+                                  e.time - partition_open, "partitioned"));
+        partition_open = kNever;
       }
     }
     switch (e.kind) {

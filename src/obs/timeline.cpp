@@ -98,18 +98,11 @@ StabilizationTimeline timeline_from_bus(const EventBus& bus) {
   tl.faults_injected = faults.count;
   tl.first_fault = faults.first;
   tl.last_fault = faults.last;
-  const std::vector<KindStats>& fault_stats = bus.fault_stats();
+  const auto& fault_stats = bus.fault_stats();
   for (std::size_t i = 0; i < fault_stats.size(); ++i) {
     if (fault_stats[i].count == 0) continue;
     TimelineEntry e;
-    if (i < bus.fault_kind_names().size()) {
-      e.name = bus.fault_kind_names()[i];
-    } else if (const char* builtin =
-                   fault_code_builtin_name(static_cast<std::uint8_t>(i))) {
-      e.name = builtin;
-    } else {
-      e.name = "fault#" + std::to_string(i);
-    }
+    e.name = fault_code_name(static_cast<std::uint8_t>(i));
     e.count = fault_stats[i].count;
     e.first = fault_stats[i].first;
     e.last = fault_stats[i].last;

@@ -1,5 +1,6 @@
 // The sustained fault-load subsystem: FaultProcess stream determinism,
-// crash/recovery and partition/heal lifecycles through the harness, their
+// the pinned draw order of random injector faults, crash/recovery and
+// partition/heal lifecycles through the harness (partitions at any N), their
 // observability (timeline parity, metrics, reconvergence windows), and the
 // engine-level guarantee that fault-load experiments stay byte-identical
 // across --jobs values.
@@ -143,12 +144,62 @@ TEST(FaultProcess, CrashStreamBeyond64Processes) {
   for (ProcessId pid = 0; pid < config.n; ++pid) EXPECT_FALSE(h.crashed(pid));
 }
 
-TEST(FaultProcess, PartitionStreamBeyond64ProcessesFailsFast) {
+TEST(FaultProcess, PartitionStreamBeyond64Processes) {
+  // Partition sides are per process, not a 64-bit mask: at N=100 arrivals
+  // cut pids past 63 off from their peers, and sends across the cut are
+  // lost to the partition.
   HarnessConfig config = load_config(32);
-  config.n = 65;
+  config.n = 100;
   config.install_monitors = false;
+  config.client.think_mean = 400;
   config.fault_process.partition_mean = 100;
-  EXPECT_DEATH(SystemHarness h(config), "partition streams need n <= 64");
+  config.fault_process.partition_hold_mean = 60;
+  SystemHarness h(config);
+  bool high_pid_cut = false;
+  h.start();
+  for (int step = 0; step < 40; ++step) {
+    h.run_for(50);
+    if (!h.partitioned()) continue;
+    const net::Network& net = h.network();
+    for (ProcessId pid = 64; pid < config.n && !high_pid_cut; ++pid)
+      high_pid_cut = net.partitioned(0, pid) || net.partitioned(63, pid);
+  }
+  h.fault_load().stop();
+  h.run_for(2000);  // a pending heal still executes
+  EXPECT_TRUE(high_pid_cut);
+  EXPECT_GT(h.fault_load().partitions(), 0u);
+  EXPECT_EQ(h.fault_load().heals(), h.fault_load().partitions());
+  EXPECT_FALSE(h.partitioned());
+  EXPECT_GT(h.stats().dropped_by_partition, 0u);
+}
+
+// --- Random fault draw order -----------------------------------------------
+
+TEST(FaultInjector, RandomBurstDrawOrderIsPinned) {
+  // Golden values for one seeded burst of every injector kind: a change to
+  // which RNG calls a random fault makes, or their order, moves them.
+  HarnessConfig config;
+  config.n = 5;
+  config.algorithm = "ricart-agrawala";
+  config.wrapped = true;
+  config.seed = 2024;
+  SystemHarness h(config);
+  h.start();
+  h.run_for(500);
+  h.faults().burst(40, net::FaultMix::all());
+  h.run_for(3000);
+
+  const RunStats stats = h.stats();
+  EXPECT_EQ(stats.faults_injected, 40u);
+  EXPECT_EQ(stats.messages_sent, 2282u);
+  EXPECT_EQ(stats.cs_entries, 205u);
+  // Per fault code: the seven injector kinds, then the lifecycle codes.
+  const std::vector<std::uint64_t> kPerCode = {3, 8, 5, 6, 3, 9, 6,
+                                               0, 0, 0, 0};
+  std::vector<std::uint64_t> per_code;
+  for (const obs::KindStats& s : h.events().fault_stats())
+    per_code.push_back(s.count);
+  EXPECT_EQ(per_code, kPerCode);
 }
 
 // --- Crash / recovery -------------------------------------------------------
@@ -191,9 +242,9 @@ TEST(HarnessLifecycle, PartitionBlocksCrossTrafficUntilHealed) {
   SystemHarness h(config);
   h.start();
   h.run_for(500);
-  ASSERT_TRUE(h.partition(0b0001));  // isolate process 0
+  ASSERT_TRUE(h.partition({1, 0, 0, 0}));  // isolate process 0
   EXPECT_TRUE(h.partitioned());
-  EXPECT_FALSE(h.partition(0b0011));  // one partition at a time
+  EXPECT_FALSE(h.partition({1, 1, 0, 0}));  // one partition at a time
   h.run_for(1000);
   const RunStats mid = h.stats();
   EXPECT_EQ(mid.partitions, 1u);
@@ -223,7 +274,7 @@ TEST(HarnessLifecycle, TimelineParityWithBusUnderLifecycleFaults) {
   h.crash(2);
   h.run_for(300);
   h.recover(2);
-  h.partition(0b0110);
+  h.partition({0, 1, 1, 0});
   h.run_for(300);
   const SimTime heal_at = h.scheduler().now();
   h.heal_partition();

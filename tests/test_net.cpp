@@ -450,7 +450,7 @@ TEST_F(NetworkTest, SpuriousUidsUniqueAcrossChannels) {
 }
 
 TEST_F(NetworkTest, PartitionDropsCrossSideSendsUntilHealed) {
-  net.set_partition(0b001);  // {0} vs {1, 2}
+  net.set_partition({1, 0, 0});  // {0} vs {1, 2}
   net.send(0, 1, MsgType::kRequest, clk::Timestamp{1, 0});  // cross: lost
   net.send(1, 2, MsgType::kReply, clk::Timestamp{2, 1});    // same side
   sched.run_all();
@@ -460,7 +460,7 @@ TEST_F(NetworkTest, PartitionDropsCrossSideSendsUntilHealed) {
   // The send still happened from the sender's point of view.
   EXPECT_EQ(net.total_sent(), 2u);
 
-  net.set_partition(0);  // heal
+  net.set_partition({});  // heal
   net.send(0, 1, MsgType::kRequest, clk::Timestamp{3, 0});
   sched.run_all();
   ASSERT_EQ(received[1].size(), 1u);
@@ -469,7 +469,7 @@ TEST_F(NetworkTest, PartitionDropsCrossSideSendsUntilHealed) {
 
 TEST_F(NetworkTest, PartitionLeavesInFlightMessagesAlone) {
   net.send(0, 1, MsgType::kRequest, clk::Timestamp{1, 0});  // on the wire
-  net.set_partition(0b001);
+  net.set_partition({1, 0, 0});
   sched.run_all();
   // The cut severs the link, not messages already in transit.
   ASSERT_EQ(received[1].size(), 1u);

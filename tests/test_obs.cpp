@@ -70,7 +70,6 @@ TEST(EventBus, DisabledBusRecordsNothing) {
   sim::Scheduler sched;
   EventBus bus(sched, 0);
   bus.set_monitor_names({"ME1"});
-  bus.set_fault_kind_names(net::fault_kind_names());
   EXPECT_FALSE(bus.enabled());
   bus.record(send_event(0, 1));
   sched.schedule_at(4, [&bus] {
@@ -125,7 +124,6 @@ TEST(EventBus, PerMonitorAndPerFaultAggregates) {
   sim::Scheduler sched;
   EventBus bus(sched, 8);
   bus.set_monitor_names({"ME1", "ME2"});
-  bus.set_fault_kind_names(net::fault_kind_names());
   ASSERT_EQ(bus.monitor_stats().size(), 2u);
   // The name table covers the injector's kinds plus the lifecycle codes
   // (crash/recover/partition/heal) the harness records.
@@ -180,7 +178,6 @@ TEST(EventBus, RenderMatchesLegacyTraceText) {
   sim::Scheduler sched;
   EventBus bus(sched, 4);
   bus.set_monitor_names({"ME1"});
-  bus.set_fault_kind_names(net::fault_kind_names());
 
   Event send = send_event(0, 1, 5);
   send.a = 0;  // request
@@ -239,26 +236,57 @@ TEST(EventBus, RendersAllElevenFaultCodeNames) {
       "channel-clear",  "process-crash",     "process-recover",
       "partition",      "partition-heal"};
   sim::Scheduler sched;
-  // The harness path registers net's table; a hand-wired bus has none and
-  // must fall back to the builtin table. Both must agree with net's names.
-  EventBus registered(sched, 4);
-  registered.set_fault_kind_names(net::fault_kind_names());
   EventBus bare(sched, 4);
   for (std::uint8_t code = 0; code < net::kFaultCodeCount; ++code) {
     Event f;
     f.kind = EventKind::kFaultInjected;
     f.a = code;
     const std::string expected = std::string("fault ") + kGolden[code];
-    EXPECT_EQ(registered.render(f), expected) << unsigned{code};
     EXPECT_EQ(bare.render(f), expected) << unsigned{code};
-    EXPECT_STREQ(net::fault_code_name(code), kGolden[code]);
-    EXPECT_STREQ(obs::fault_code_builtin_name(code), kGolden[code]);
+    EXPECT_STREQ(obs::fault_code_name(code), kGolden[code]);
   }
-  // Past both tables: numeric fallback, never a null or a stale label.
+  // Past the table: numeric fallback, never a null or a stale label.
   Event f;
   f.kind = EventKind::kFaultInjected;
   f.a = 42;
   EXPECT_EQ(bare.render(f), "fault fault#42");
+}
+
+TEST(EventBus, BareBusKeepsPerCodeFaultFacts) {
+  // A hand-wired bus registers nothing, yet its per-code fault aggregates,
+  // timeline entries and Perfetto lifecycle slices are all there.
+  sim::Scheduler sched;
+  EventBus bus(sched, 16);
+  auto lifecycle = [&](SimTime t, std::uint8_t code) {
+    sched.schedule_at(t, [&bus, code] {
+      Event e;
+      e.kind = EventKind::kFaultInjected;
+      e.a = code;
+      e.pid = 1;
+      bus.record(e);
+    });
+    while (sched.step()) {
+    }
+  };
+  lifecycle(5, obs::kFaultCodeProcessCrash);
+  lifecycle(20, obs::kFaultCodeProcessRecover);
+
+  ASSERT_EQ(bus.fault_stats().size(), obs::kFaultCodeCount);
+  EXPECT_EQ(bus.fault_stats()[obs::kFaultCodeProcessCrash].count, 1u);
+  EXPECT_EQ(bus.fault_stats()[obs::kFaultCodeProcessCrash].first, 5u);
+  EXPECT_EQ(bus.fault_stats()[obs::kFaultCodeProcessRecover].count, 1u);
+  EXPECT_EQ(bus.fault_stats()[obs::kFaultCodeProcessRecover].last, 20u);
+
+  const obs::StabilizationTimeline tl = obs::timeline_from_bus(bus);
+  EXPECT_EQ(tl.faults_injected, 2u);
+  ASSERT_EQ(tl.faults.size(), 2u);
+  EXPECT_EQ(tl.faults[0].name, "process-crash");
+  EXPECT_EQ(tl.faults[0].first, 5u);
+  EXPECT_EQ(tl.faults[1].name, "process-recover");
+  EXPECT_EQ(tl.faults[1].last, 20u);
+
+  const std::string trace = obs::perfetto_trace_json(bus).dump(0);
+  EXPECT_NE(trace.find("\"crashed\""), std::string::npos);
 }
 
 // --- Trace: the ring's "[time] text" dump ------------------------------------
